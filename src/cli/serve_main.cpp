@@ -34,8 +34,8 @@ const char *const kUsage =
     "  --socket PATH           Unix socket to listen on (required)\n"
     "  --jobs N                sweep worker threads (0 = all cores;\n"
     "                          default: all cores)\n"
-    "  --intra-jobs N          threads inside one simulation\n"
-    "                          (default: 1; 0 = all cores / jobs)\n"
+    "  --intra-jobs 1          deprecated; accepts only 1 (each\n"
+    "                          simulation steps on one thread)\n"
     "  --queue-capacity N      max waiting jobs before submissions\n"
     "                          are rejected (default: 8)\n"
     "  --dataset-dir DIR       real dataset directory (as capstan-run)\n"
@@ -87,9 +87,9 @@ main(int argc, char **argv)
                 return usageError("--jobs requires an integer >= 0");
         } else if (a == "--intra-jobs") {
             if (!value(v) || !driver::parseInt(v, ecfg.intra_jobs) ||
-                ecfg.intra_jobs < 0)
+                ecfg.intra_jobs != 1)
                 return usageError(
-                    "--intra-jobs requires an integer >= 0");
+                    "--intra-jobs is deprecated and accepts only 1");
         } else if (a == "--queue-capacity") {
             if (!value(v) ||
                 !driver::parseInt(v, scfg.queue_capacity) ||

@@ -8,10 +8,9 @@ namespace capstan::common {
 
 namespace {
 
-// Spin budget before yielding, yield budget before parking. The pool
-// dispatches twice per simulated machine cycle, so the common case is
-// "job arrives while spinning"; parking only matters when a run phase
-// is between machine invocations (e.g. app setup between iterations).
+// Spin budget before yielding, yield budget before parking. The sweep
+// engine dispatches once per sweep, so workers mostly park between
+// jobs; the short spin keeps back-to-back dispatches cheap.
 constexpr int kSpinIters = 2048;
 constexpr int kYieldIters = 128;
 

@@ -1,6 +1,9 @@
 /**
  * @file
- * Deterministic worker pool for intra-run parallelism.
+ * Deterministic worker pool for parallelism across simulations.
+ *
+ * The sweep engine (driver/sweep.hpp) runs independent points on it;
+ * one simulation always steps on one thread (lang::Machine).
  *
  * `WorkerPool` owns `workers - 1` persistent host threads; the caller
  * participates as worker 0, so a pool of N uses exactly N cores while

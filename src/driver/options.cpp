@@ -192,8 +192,11 @@ applyOption(DriverOptions &o, const std::string &key,
         if (!parseNumber(v, o.scale) || o.scale <= 0)
             return "scale requires a positive number";
     } else if (key == "tiles") {
-        if (!parseInt(v, o.tiles) || o.tiles < 1)
-            return "tiles requires a positive integer";
+        int tiles = 0;
+        if (!parseInt(v, tiles) || tiles < 1 || tiles > kMaxTiles)
+            return "tiles requires an integer in [1, " +
+                   std::to_string(kMaxTiles) + "]";
+        o.tiles = tiles;
     } else if (key == "iterations") {
         if (!parseInt(v, o.iterations) || o.iterations < 1)
             return "iterations requires a positive integer";
@@ -342,12 +345,6 @@ parseArgs(const std::vector<std::string> &args)
         } else if (a == "--jobs") {
             if (!value(v) || !parseInt(v, o.jobs) || o.jobs < 0)
                 return fail("--jobs requires a non-negative integer");
-        } else if (a == "--intra-jobs") {
-            if (!value(v) || !parseInt(v, o.intra_jobs) ||
-                o.intra_jobs < 0) {
-                return fail(
-                    "--intra-jobs requires a non-negative integer");
-            }
         } else if (a == "--csv") {
             if (!value(v))
                 return fail("--csv requires a path");
@@ -449,13 +446,10 @@ usageText()
         "                     synthetic stand-in (with a note)\n"
         "  --scale F          dataset scale multiplier (default: 1;\n"
         "                     synthetic generation only)\n"
-        "  --tiles N          outer-parallel tiles (default: 16)\n"
+        "  --tiles N          outer-parallel tiles, 1-256 (default: 16)\n"
         "  --iterations N     PR/BiCGStab iterations (default: 2)\n"
         "\n"
         "Host execution (stats are identical at every setting):\n"
-        "  --intra-jobs N     host threads stepping each simulation\n"
-        "                     (default: 1; 0 = all cores, divided by\n"
-        "                     the sweep pool's --jobs)\n"
         "  --matrix-store S   csr|compressed matrix dataset backing\n"
         "                     (default: csr); compressed keeps the\n"
         "                     delta+varint form in host memory\n"

@@ -28,6 +28,14 @@ enum class ConfigPoint {
     Ideal,      //!< Ideal network + memory (Table 12, first row).
 };
 
+/**
+ * Largest accepted tile count (`tiles` option, every front end). The
+ * remote-atomic DRAM address carries the destination tile in 8 bits
+ * (lang::Machine's no-shuffle SpmuCross path), so more tiles would
+ * alias; the paper's chip has 200 units and no study uses more than 64.
+ */
+inline constexpr int kMaxTiles = 256;
+
 /** Everything a `capstan-run` invocation specifies. */
 struct DriverOptions
 {
@@ -76,17 +84,6 @@ struct DriverOptions
      * axis key. Sweep points inherit it from the base.
      */
     sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
-
-    /**
-     * Worker threads stepping *inside* one simulation (--intra-jobs);
-     * 0 = all cores. Composes with the sweep pool under a shared core
-     * budget: with J sweep jobs the default intra budget is
-     * cores / J (see resolveIntraJobs in runner.hpp). Stats are
-     * byte-identical at every value (docs/ARCHITECTURE.md, "Threading
-     * model"), so this is purely a wall-clock knob — which is why it
-     * is not a sweep axis key.
-     */
-    int intra_jobs = 1;
 
     // Sweep mode (src/driver/sweep.hpp). The single-run fields above
     // become the base point every sweep axis varies around.

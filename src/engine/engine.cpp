@@ -28,13 +28,16 @@ scalarToString(const JsonValue &v, const std::string &what)
 }
 
 int
-requireInt(const JsonValue &v, const std::string &what, int min)
+requireInt(const JsonValue &v, const std::string &what, int min,
+           int max = 1000000000)
 {
     if (!v.isNumber() || v.asNumber() != std::floor(v.asNumber()))
         throw std::invalid_argument(what + " must be an integer");
     double n = v.asNumber();
-    if (n < min || n > 1e9)
-        throw std::invalid_argument(what + " is out of range");
+    if (n < min || n > max)
+        throw std::invalid_argument(what + " is out of range [" +
+                                    std::to_string(min) + ", " +
+                                    std::to_string(max) + "]");
     return static_cast<int>(n);
 }
 
@@ -178,7 +181,6 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
     // Host knobs come from the engine's environment, never the wire.
     req.options.dataset_dir = defaults.dataset_dir;
     req.options.matrix_store = defaults.matrix_store;
-    req.options.intra_jobs = defaults.intra_jobs;
 
     auto allow = [&](std::initializer_list<const char *> keys) {
         for (const auto &[key, value] : doc.members()) {
@@ -233,7 +235,8 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
             req.scale = doc.at("scale").asNumber();
         }
         if (doc.contains("tiles"))
-            req.tiles = requireInt(doc.at("tiles"), "\"tiles\"", 1);
+            req.tiles = requireInt(doc.at("tiles"), "\"tiles\"", 1,
+                                   driver::kMaxTiles);
         if (doc.contains("iterations"))
             req.iterations =
                 requireInt(doc.at("iterations"), "\"iterations\"", 1);
@@ -289,6 +292,11 @@ JobRequest::toJson() const
 
 Engine::Engine(EngineConfig cfg) : cfg_(std::move(cfg))
 {
+    if (cfg_.intra_jobs != 1)
+        throw std::invalid_argument(
+            "intra_jobs is deprecated and accepts only 1: a simulation "
+            "steps on one host thread; use jobs for parallelism across "
+            "points");
     resolved_jobs_ = driver::resolveJobs(cfg_.jobs);
     if (resolved_jobs_ >= 2)
         pool_ = std::make_unique<common::WorkerPool>(resolved_jobs_);
@@ -333,8 +341,6 @@ Engine::studyKnobs(const JobRequest &req) const
         knobs.iterations = *req.iterations;
     knobs.dataset_dir = cfg_.dataset_dir;
     knobs.matrix_store = cfg_.matrix_store;
-    knobs.intra_jobs = driver::resolveIntraJobs(
-        cfg_.intra_jobs, effectiveJobs(req.jobs));
     return knobs;
 }
 
@@ -390,14 +396,8 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
             if (points.empty())
                 throw std::invalid_argument(
                     "sweep expands to zero points");
-            int sweep_jobs = effectiveJobs(req.jobs);
-            // 0 = all cores shares the budget with the sweep pool
-            // (same contract as the CLI front-ends).
-            for (driver::DriverOptions &p : points)
-                p.intra_jobs =
-                    driver::resolveIntraJobs(p.intra_jobs, sweep_jobs);
             driver::SweepExec exec;
-            exec.jobs = sweep_jobs;
+            exec.jobs = effectiveJobs(req.jobs);
             exec.pool = pool_.get();
             exec.cancel = hooks.cancel;
             exec.progress = hooks.progress;

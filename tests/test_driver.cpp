@@ -204,6 +204,19 @@ TEST(DriverOptions, ApplyOptionIsTheSingleValidationPath)
     EXPECT_FALSE(applyOption(o, "memtech", "hbm9").empty());
     EXPECT_FALSE(applyOption(o, "frobnicate", "1").empty());
     EXPECT_FALSE(applyOption(o, "tiles", "0").empty());
+    // Tiles are bounded at kMaxTiles: both ends of the range are
+    // accepted, one past either end and int overflow are rejected.
+    EXPECT_EQ(applyOption(o, "tiles", "1"), "");
+    EXPECT_EQ(o.tiles, 1);
+    EXPECT_EQ(applyOption(o, "tiles", "64"), "");
+    EXPECT_EQ(applyOption(o, "tiles", std::to_string(kMaxTiles)), "");
+    EXPECT_EQ(o.tiles, kMaxTiles);
+    EXPECT_FALSE(
+        applyOption(o, "tiles", std::to_string(kMaxTiles + 1)).empty());
+    EXPECT_FALSE(applyOption(o, "tiles", "2147483647").empty());
+    EXPECT_FALSE(applyOption(o, "tiles", "-1").empty());
+    EXPECT_EQ(o.tiles, kMaxTiles); // A rejected value leaves no trace.
+    EXPECT_FALSE(parseArgs({"--tiles", "2147483647"}).ok());
     // Every advertised key is dispatched (none falls through to the
     // unknown-option branch).
     for (const auto &key : optionKeys()) {
@@ -526,42 +539,15 @@ TEST(ParseHelpers, JobsContractIsSharedAcrossEntryPoints)
     EXPECT_GE(resolveJobs(-7), 1); // Defensive: clamps like 0.
 }
 
-TEST(ParseHelpers, IntraJobsSharesTheJobsContract)
+TEST(DriverOptions, IntraJobsIsNotAnOption)
 {
-    // --intra-jobs goes through the same strict parseInt path as
-    // --jobs: negatives and non-integers are usage errors (exit 2 at
-    // the CLI), 0 means "all cores".
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "-1"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "foo"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "2.5"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "4x"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs"}).ok()); // Missing value.
-
-    ParseResult r = parseArgs({"--intra-jobs", "8"});
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.options.intra_jobs, 8);
-    EXPECT_EQ(parseArgs({}).options.intra_jobs, 1); // Default: serial.
-
-    // Explicit values pass through; 0 splits the core budget against
-    // the sweep pool (at least 1 worker either way).
-    EXPECT_EQ(resolveIntraJobs(5, 1), 5);
-    EXPECT_EQ(resolveIntraJobs(5, 8), 5); // Explicit beats the budget.
-    EXPECT_GE(resolveIntraJobs(0, 1), 1);
-    EXPECT_GE(resolveIntraJobs(0, 1024), 1);
-    // With J sweep jobs the resolved budget can never exceed the
-    // whole-machine resolution.
-    EXPECT_LE(resolveIntraJobs(0, 4), resolveIntraJobs(0, 1));
-}
-
-TEST(DriverOptions, IntraJobsIsNotASweepAxis)
-{
-    // Stats are byte-identical at every thread count, so sweeping
-    // intra-jobs would produce N identical rows; the key is rejected
-    // like any other non-run-defining option.
+    // A simulation steps on one host thread; parallelism is across
+    // points (--jobs). The removed flag is an unknown option on every
+    // path that reaches applyOption.
+    EXPECT_FALSE(parseArgs({"--intra-jobs", "1"}).ok());
     DriverOptions o;
-    EXPECT_NE(applyOption(o, "intra-jobs", "4"), "");
-    const auto &keys = optionKeys();
-    for (const auto &k : keys)
+    EXPECT_NE(applyOption(o, "intra-jobs", "1"), "");
+    for (const auto &k : optionKeys())
         EXPECT_NE(k, "intra-jobs");
 }
 

@@ -131,6 +131,26 @@ TEST(EngineRequest, FromJsonValidatesShapeAndValues)
            "\"scale\": -1}");
     reject("{\"type\": \"study\", \"study\": \"table12\", "
            "\"check\": \"yes\"}");
+    // Tiles share the driver's bound on every request type.
+    reject("{\"type\": \"run\", \"options\": {\"tiles\": 2147483647}}");
+    reject("{\"type\": \"study\", \"study\": \"table12\", "
+           "\"tiles\": " + std::to_string(driver::kMaxTiles + 1) + "}");
+    EXPECT_NO_THROW(engine::JobRequest::fromJson(
+        JsonValue::parse("{\"type\": \"study\", \"study\": "
+                         "\"table12\", \"tiles\": " +
+                         std::to_string(driver::kMaxTiles) + "}"),
+        cfg));
+}
+
+TEST(EngineConfigTest, DeprecatedIntraJobsAcceptsOnlyOne)
+{
+    engine::EngineConfig cfg = serialConfig();
+    cfg.intra_jobs = 1;
+    EXPECT_NO_THROW(engine::Engine{cfg});
+    for (int bad : {0, 2, 8, -1}) {
+        cfg.intra_jobs = bad;
+        EXPECT_THROW(engine::Engine{cfg}, std::invalid_argument) << bad;
+    }
 }
 
 TEST(EngineRequest, WireOptionsUseTheDriverValidationPath)
@@ -156,12 +176,10 @@ TEST(EngineRequest, HostKnobsComeFromTheEngineNotTheWire)
 {
     engine::EngineConfig cfg;
     cfg.dataset_dir = "/nonexistent/datasets";
-    cfg.intra_jobs = 3;
     cfg.matrix_store = sparse::StoreKind::Compressed;
     engine::JobRequest req = engine::JobRequest::fromJson(
         JsonValue::parse("{\"type\": \"run\"}"), cfg);
     EXPECT_EQ(req.options.dataset_dir, cfg.dataset_dir);
-    EXPECT_EQ(req.options.intra_jobs, 3);
     EXPECT_EQ(req.options.matrix_store,
               sparse::StoreKind::Compressed);
     // And the wire cannot override them: they are not option keys the
@@ -297,6 +315,28 @@ TEST(EngineState, SecondRunOnSameDatasetHitsTheWarmCache)
     EXPECT_EQ(stats.jobs_completed, 2u);
     EXPECT_EQ(stats.jobs_failed, 0u);
     EXPECT_EQ(stats.dataset_cache.hits, after.hits);
+}
+
+TEST(EngineState, WatchdogIsAJobErrorAndTheEngineKeepsServing)
+{
+    // A bandwidth so low that no DRAM access completes trips the
+    // Machine's per-phase watchdog. That is a failed job with a
+    // message, not a process abort, and the engine serves on.
+    engine::Engine eng(serialConfig());
+    engine::JobResult bad = eng.execute(engine::JobRequest::fromJson(
+        JsonValue::parse("{\"type\": \"run\", \"options\": "
+                         "{\"bandwidth-gbps\": 1e-9}}"),
+        eng.config()));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.usage_error);
+    EXPECT_FALSE(bad.interrupted);
+    EXPECT_NE(bad.error.find("watchdog"), std::string::npos) << bad.error;
+
+    engine::JobResult good = eng.execute(engine::JobRequest::fromJson(
+        JsonValue::parse(wireRun("spmv", "capstan")), eng.config()));
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(eng.stats().jobs_failed, 1u);
+    EXPECT_EQ(eng.stats().jobs_completed, 1u);
 }
 
 TEST(EngineCancel, PreFiredTokenSkipsEveryPoint)
