@@ -6,14 +6,14 @@
 namespace capstan::baselines {
 
 double
-eieSeconds(const MatrixView &m, double vec_density)
+eieSeconds(Index64 nnz, double vec_density)
 {
     // 64 PEs, 800 MHz, one weight non-zero per PE per cycle; only the
     // columns matching non-zero activations are touched. Weights live
     // on-chip (the decisive advantage the paper concedes to EIE).
     constexpr double pes = 64.0;
     constexpr double clock = 0.8e9;
-    double work = static_cast<double>(m.nnz()) * vec_density;
+    double work = static_cast<double>(nnz) * vec_density;
     // Load imbalance across PEs costs ~20% on real layers.
     double cycles = work / pes / 0.8;
     return cycles / clock;

@@ -13,20 +13,17 @@
 
 #pragma once
 
-#include "sparse/compressed.hpp"
-#include "sparse/matrix.hpp"
+#include "sparse/types.hpp"
 #include "workloads/synth.hpp"
 
 namespace capstan::baselines {
 
-using sparse::MatrixView;
-
 /**
  * EIE (Han et al., ISCA 2016): 64 PEs at 800 MHz, CSC weights on-chip,
- * activation sparsity skipped. @return seconds for M * v with a
- * @p vec_density-dense input vector.
+ * activation sparsity skipped. @return seconds for M * v, where M has
+ * @p nnz non-zeros, with a @p vec_density-dense input vector.
  */
-double eieSeconds(const MatrixView &m, double vec_density);
+double eieSeconds(Index64 nnz, double vec_density);
 
 /**
  * SCNN (Parashar et al., ISCA 2017): 64 PEs x (4 act x 4 wt) multipliers

@@ -189,8 +189,10 @@ applyOption(DriverOptions &o, const std::string &key,
     } else if (key == "dataset") {
         o.dataset = v;
     } else if (key == "scale") {
-        if (!parseNumber(v, o.scale) || o.scale <= 0)
+        double scale = 0;
+        if (!parseNumber(v, scale) || scale <= 0)
             return "scale requires a positive number";
+        o.scale = scale;
     } else if (key == "tiles") {
         int tiles = 0;
         if (!parseInt(v, tiles) || tiles < 1 || tiles > kMaxTiles)
@@ -198,8 +200,10 @@ applyOption(DriverOptions &o, const std::string &key,
                    std::to_string(kMaxTiles) + "]";
         o.tiles = tiles;
     } else if (key == "iterations") {
-        if (!parseInt(v, o.iterations) || o.iterations < 1)
+        int iterations = 0;
+        if (!parseInt(v, iterations) || iterations < 1)
             return "iterations requires a positive integer";
+        o.iterations = iterations;
     } else if (key == "config") {
         std::string n = lower(v);
         if (n == "capstan")

@@ -85,6 +85,15 @@ struct DriverOptions
      */
     sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
 
+    /**
+     * BFS/SSSP emit back-pointer updates. Study-only: Table 13's
+     * Graphicionado rows clear it to match that accelerator, which
+     * records no parents. It has no flag and no option key, so no CLI
+     * or wire request can reach it; it is part of a sweep point's
+     * identity (driver::pointIdentity).
+     */
+    bool write_pointers = true;
+
     // Sweep mode (src/driver/sweep.hpp). The single-run fields above
     // become the base point every sweep axis varies around.
     std::string sweep_file;       //!< JSON SweepSpec path (--sweep).
@@ -153,8 +162,9 @@ const std::vector<std::string> &optionKeys();
 
 /**
  * Apply one named option value (e.g. "memtech", "ddr4") to @p opts.
- * Returns an empty string on success, a diagnostic otherwise. This is
- * the single validation path behind parseArgs() and sweep axes.
+ * Returns an empty string on success, a diagnostic otherwise; a
+ * rejected value leaves @p opts unchanged. This is the single
+ * validation path behind parseArgs() and sweep axes.
  */
 std::string applyOption(DriverOptions &opts, const std::string &key,
                         const std::string &value);

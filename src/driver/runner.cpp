@@ -27,7 +27,7 @@ using namespace capstan::workloads;
 double
 defaultScale(const std::string &dataset)
 {
-    // Bench-friendly sizes; EXPERIMENTS.md records these. --scale 1
+    // Sizes that keep a full-preset report short; --scale 1
     // multiplies back toward the published sizes.
     if (dataset == "ckt11752_dc_1")
         return 0.25;
@@ -183,18 +183,19 @@ effectiveScale(const std::string &dataset, const RunKnobs &knobs)
     return defaultScale(dataset) * knobs.scale_mult;
 }
 
+namespace {
+
+/**
+ * Simulate the matrix app of @p r (its canonical key, dataset, scale
+ * and config already resolved by runDriver) on dataset @p d.
+ */
 AppTiming
-runApp(const std::string &app, const std::string &dataset,
-       const CapstanConfig &cfg, const RunKnobs &knobs)
+runMatrixApp(const RunResult &r, const MatrixDataset &d,
+             const DriverOptions &opts)
 {
-    double scale = effectiveScale(dataset, knobs);
-    if (app == "Conv") {
-        const ConvDataset &d = cachedConv(dataset, scale);
-        return runConv(d.layer, cfg, knobs.tiles).timing;
-    }
-    const MatrixDataset &d =
-        cachedMatrix(dataset, scale, knobs.dataset_dir,
-                     knobs.matrix_store);
+    const std::string &app = r.app;
+    const CapstanConfig &cfg = r.config;
+    const int tiles = opts.tiles;
     // Each runner argument below converts d.matrix to its own
     // MatrixView, so two-matrix apps (SpMSpM's A x A) read through two
     // independent cursors instead of sharing one decode scratch.
@@ -207,26 +208,26 @@ runApp(const std::string &app, const std::string &dataset,
         m.rows() != m.cols()) {
         throw workloads::DatasetError(
             "app " + app + " requires a square matrix; dataset '" +
-            dataset + "' is " + std::to_string(m.rows()) + "x" +
+            r.dataset + "' is " + std::to_string(m.rows()) + "x" +
             std::to_string(m.cols()));
     }
     if (app == "CSR")
-        return runSpmvCsr(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
+        return runSpmvCsr(m, denseInput(m.cols()), cfg, tiles).timing;
     if (app == "COO")
-        return runSpmvCoo(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
+        return runSpmvCoo(m, denseInput(m.cols()), cfg, tiles).timing;
     if (app == "CSC") {
         // The paper uses a 30%-dense input vector for CSC SpMV.
         auto v = sparseVector(m.cols(), 0.30, 0xCEC);
-        return runSpmvCsc(m, v, cfg, knobs.tiles).timing;
+        return runSpmvCsc(m, v, cfg, tiles).timing;
     }
     if (app == "PR-Pull")
-        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles).timing;
+        return runPageRankPull(m, opts.iterations, cfg, tiles).timing;
     if (app == "PR-Edge")
-        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles).timing;
+        return runPageRankEdge(m, opts.iterations, cfg, tiles).timing;
     if (app == "BFS")
-        return runBfs(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
+        return runBfs(m, 0, cfg, tiles, opts.write_pointers).timing;
     if (app == "SSSP")
-        return runSssp(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
+        return runSssp(m, 0, cfg, tiles, opts.write_pointers).timing;
     if (app == "M+M") {
         // Add the dataset to its transpose: same dimensions and
         // density, different (but correlated) occupancy. The
@@ -234,21 +235,23 @@ runApp(const std::string &app, const std::string &dataset,
         // operands exercise the selected backing.
         static GenerateOnceCache<sparse::MatrixStore> tcache;
         const sparse::MatrixStore &mt = tcache.get(
-            datasetKey(dataset, scale, knobs.dataset_dir,
-                       knobs.matrix_store),
+            datasetKey(r.dataset, r.scale, opts.dataset_dir,
+                       opts.matrix_store),
             [&] {
-                return sparse::MatrixStore::build(knobs.matrix_store,
+                return sparse::MatrixStore::build(opts.matrix_store,
                                                   m.transpose());
             });
-        return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree).timing;
+        return runMatAdd(m, mt, cfg, tiles).timing;
     }
     if (app == "SpMSpM")
-        return runSpmspm(m, m, cfg, knobs.tiles).timing;
+        return runSpmspm(m, m, cfg, tiles).timing;
     if (app == "BiCGStab")
-        return runBicgstab(m, denseInput(m.rows()), knobs.iterations,
-                           cfg, knobs.tiles).timing;
+        return runBicgstab(m, denseInput(m.rows()), opts.iterations, cfg,
+                           tiles).timing;
     throw std::invalid_argument("unknown app: " + app);
 }
+
+} // namespace
 
 RunResult
 runDriver(const DriverOptions &opts)
@@ -262,35 +265,29 @@ runDriver(const DriverOptions &opts)
     r.dataset = opts.dataset.empty() ? defaultDataset(*canonical)
                                      : opts.dataset;
     r.config_name = configPointName(opts.config);
+    r.scale = defaultScale(r.dataset) * opts.scale;
     r.tiles = opts.tiles;
     r.iterations = opts.iterations;
     r.config = buildConfig(opts);
 
-    RunKnobs knobs;
-    knobs.tiles = opts.tiles;
-    knobs.iterations = opts.iterations;
-    knobs.scale_mult = opts.scale;
-    knobs.dataset_dir = opts.dataset_dir;
-    knobs.matrix_store = opts.matrix_store;
-    r.scale = effectiveScale(r.dataset, knobs);
-    r.timing = runApp(r.app, r.dataset, r.config, knobs);
-
     if (r.app == "Conv") {
         const ConvLayer &layer = cachedConv(r.dataset, r.scale).layer;
+        r.timing = runConv(layer, r.config, opts.tiles).timing;
         r.info.rows = layer.dim;
         r.info.cols = layer.dim;
         r.info.nnz = -1;
-    } else {
-        const MatrixDataset &d =
-            cachedMatrix(r.dataset, r.scale, knobs.dataset_dir,
-                         knobs.matrix_store);
-        r.info.rows = d.matrix.rows();
-        r.info.cols = d.matrix.cols();
-        r.info.nnz = d.matrix.nnz();
-        r.info.source = d.source;
-        r.info.csr_bytes = d.matrix.csrBytes();
-        r.info.encoded_bytes = d.matrix.encodedBytes();
+        return r;
     }
+    const MatrixDataset &d = cachedMatrix(r.dataset, r.scale,
+                                          opts.dataset_dir,
+                                          opts.matrix_store);
+    r.timing = runMatrixApp(r, d, opts);
+    r.info.rows = d.matrix.rows();
+    r.info.cols = d.matrix.cols();
+    r.info.nnz = d.matrix.nnz();
+    r.info.source = d.source;
+    r.info.csr_bytes = d.matrix.csrBytes();
+    r.info.encoded_bytes = d.matrix.encodedBytes();
     return r;
 }
 

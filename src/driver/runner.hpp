@@ -1,16 +1,16 @@
 /**
  * @file
- * The simulation runner behind `capstan-run` and the bench harness.
+ * The simulation runner behind every entry point: `capstan-run`, the
+ * sweep engine (driver/sweep.hpp) and, through it, every
+ * `capstan-report` study.
  *
- * One entry point composes any Table 2 application with any Table 6
- * dataset under any machine configuration and returns the full timing.
- * Datasets are generated once per (name, scale) and cached for the
- * lifetime of the process, so parameter sweeps only pay generation
- * once; the cache is thread-safe with generate-once semantics, so the
- * sweep engine's workers (driver/sweep.hpp) can run points
- * concurrently and share workloads. The bench binaries (`bench/`)
- * delegate here, which keeps a single dispatch table for the whole
- * repo.
+ * runDriver() is the one dispatch: it composes any Table 2 application
+ * with any Table 6 dataset under the machine configuration a
+ * DriverOptions describes and returns the full timing. Datasets are
+ * generated once per (name, scale) and cached for the lifetime of the
+ * process, so parameter sweeps only pay generation once; the cache is
+ * thread-safe with generate-once semantics, so the sweep engine's
+ * workers can run points concurrently and share workloads.
  */
 
 #pragma once
@@ -30,14 +30,16 @@ using common::JsonParseError;
 using common::JsonValue;
 using sim::CapstanConfig;
 
-/** Per-run knobs shared by the CLI and the bench harness. */
+/**
+ * A report preset (`quick`, `full`, or custom overrides): the knobs
+ * every study point shares. report::StudyContext::base() copies each
+ * field into the DriverOptions of a point.
+ */
 struct RunKnobs
 {
     int tiles = 16;
     int iterations = 2;  //!< PageRank / BiCGStab iterations.
     double scale_mult = 1.0;
-    bool write_pointers = true; //!< BFS/SSSP back pointers.
-    bool use_bittree = true;    //!< M+M row format.
     /**
      * Directory of real dataset files (--dataset-dir); empty keeps
      * every dataset synthetic. See workloads::resolveMatrixDataset.
@@ -52,15 +54,15 @@ struct RunKnobs
 };
 
 /**
- * Default generation scale for a dataset in bench runs (relative to the
- * published size; multiplied by the knobs' scale factor).
+ * Default generation scale for a dataset (relative to the published
+ * size; multiplied by the run's scale factor).
  */
 double defaultScale(const std::string &dataset);
 
 /**
- * The generation scale a run actually uses:
- * defaultScale(dataset) * knobs.scale_mult. The single definition the
- * dispatch and the reporting layer both key the dataset cache on.
+ * The generation scale a preset gives @p dataset:
+ * defaultScale(dataset) * knobs.scale_mult, the same product
+ * runDriver() keys the dataset cache on (RunResult::scale).
  */
 double effectiveScale(const std::string &dataset,
                       const RunKnobs &knobs);
@@ -84,13 +86,6 @@ struct DatasetInfo
     std::uint64_t encoded_bytes = 0;
 };
 
-/**
- * Run canonical app @p app ("CSR", "PR-Pull", ...) on @p dataset under
- * @p cfg. Throws std::invalid_argument for unknown names.
- */
-AppTiming runApp(const std::string &app, const std::string &dataset,
-                 const CapstanConfig &cfg, const RunKnobs &knobs = {});
-
 /** Result of one driver invocation. */
 struct RunResult
 {
@@ -105,7 +100,11 @@ struct RunResult
     AppTiming timing;
 };
 
-/** Execute the run an option set describes. */
+/**
+ * Execute the run an option set describes. Throws
+ * std::invalid_argument for an unknown app and workloads::DatasetError
+ * for a dataset that cannot be loaded or does not fit the app.
+ */
 RunResult runDriver(const DriverOptions &opts);
 
 /**

@@ -50,11 +50,8 @@ optionalStr(bool present, const std::string &s)
     return present ? s : "-";
 }
 
-/**
- * Canonical identity of the run a point describes, for deduplication.
- * Aliased app names ("spmv" vs "csr") collapse; an empty dataset means
- * "the app's default" and is resolved before comparing.
- */
+} // namespace
+
 std::string
 pointIdentity(const DriverOptions &o)
 {
@@ -88,11 +85,10 @@ pointIdentity(const DriverOptions &o)
        << (o.scan_outputs ? std::to_string(*o.scan_outputs) : "-")
        << '\x1f'
        << (o.scan_data_elems ? std::to_string(*o.scan_data_elems)
-                             : "-");
+                             : "-")
+       << '\x1f' << (o.write_pointers ? 't' : 'f');
     return id.str();
 }
-
-} // namespace
 
 void
 SweepSpec::set(const std::string &key, std::vector<std::string> values)

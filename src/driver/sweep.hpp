@@ -1,7 +1,7 @@
 /**
  * @file
- * The parallel sweep engine behind `capstan-run --sweep` and the bench
- * harness.
+ * The parallel sweep engine behind `capstan-run --sweep` and every
+ * `capstan-report` study.
  *
  * Every result in the paper is a sweep: Figure 5 sweeps DRAM bandwidth
  * per application, Table 9 sweeps SpMU allocator strength, Table 12
@@ -19,8 +19,10 @@
  * Axis keys are exactly the driver's option keys (options.hpp:
  * optionKeys()), so a sweep can vary precisely what a single run can
  * set. Specs come from a JSON file (`--sweep spec.json`), from repeated
- * `--axis key=v1,v2` flags, or are built programmatically by the bench
- * binaries (fig5_sensitivity, table9_spmu_sensitivity).
+ * `--axis key=v1,v2` flags, or are built programmatically by the
+ * studies (src/report/studies_perf.cpp). A study may also hand
+ * runSweep() points it built directly; Figure 7 and Table 13 do, and
+ * Table 13 sets the study-only DriverOptions::write_pointers there.
  */
 
 #pragma once
@@ -94,6 +96,15 @@ SweepSpec specFromOptions(const DriverOptions &opts,
  * std::invalid_argument.
  */
 std::vector<DriverOptions> expandSweep(const SweepSpec &spec);
+
+/**
+ * Canonical identity of the run a point describes, for deduplication.
+ * Aliased app names ("spmv" vs "csr") collapse; an empty dataset means
+ * "the app's default" and is resolved before comparing. Every field
+ * that changes what runDriver() simulates is part of it, the
+ * study-only DriverOptions::write_pointers included.
+ */
+std::string pointIdentity(const DriverOptions &o);
 
 /** The outcome of one sweep point. */
 struct SweepPointResult

@@ -1,8 +1,7 @@
 /**
  * @file
- * Paper-order application and dataset catalog shared by the study
- * registry (src/report/study.hpp) and the bench harness
- * (bench/bench_util.hpp). Table 12 orders the eleven applications;
+ * Paper-order application and dataset catalog of the study registry
+ * (src/report/study.hpp). Table 12 orders the eleven applications;
  * each application evaluates the Table 6 datasets of its family.
  */
 

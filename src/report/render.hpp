@@ -1,10 +1,9 @@
 /**
  * @file
- * Renderers for study results: plain text (the bench shims), Markdown
- * (docs/RESULTS.md), CSV (metric rows), and JSON (report.json). All
- * four are deterministic — fixed-precision cells, no wall-clock, no
- * host identity — so rendered reports are byte-identical across runs
- * and machines (micro_components included: its metrics are modeled
+ * Renderers for study results: Markdown (docs/RESULTS.md), CSV (metric
+ * rows), and JSON (report.json). All three are deterministic —
+ * fixed-precision cells, no wall-clock, no host identity — so rendered
+ * reports are byte-identical across runs and machines (micro_components included: its metrics are modeled
  * throughputs, not host timings).
  */
 
@@ -48,9 +47,6 @@ struct ReportMeta
     driver::RunKnobs knobs;
     bool checked = false; //!< --check was requested.
 };
-
-/** Fixed-width text tables + notes, as the bench binaries print. */
-std::string renderText(const StudyResult &result);
 
 /** The full docs/RESULTS.md document. */
 std::string renderMarkdown(const std::vector<StudyRun> &runs,

@@ -6,9 +6,10 @@
  * keys, expands them with driver::expandSweep, and executes all points
  * on the parallel sweep engine (driver::runSweep) through
  * StudyContext::sweep — the same path as `capstan-run --sweep`.
- * Figure 7 and Table 13 are the exceptions: their layered
- * configurations and back-pointer knob are not expressible as option
- * keys, so they call the shared dispatch (driver::runApp) directly.
+ * Figure 7 and Table 13 build their points directly from
+ * StudyContext::base: Figure 7's layered configurations are option
+ * keys, and Table 13's Graphicionado rows clear the study-only
+ * DriverOptions::write_pointers.
  */
 
 #include <array>
@@ -348,8 +349,7 @@ runTable12(const StudyContext &ctx)
     auto baselineSeconds = [&](const std::string &app, bool gpu) {
         std::vector<double> times;
         for (const auto &ds : datasetsFor(app)) {
-            double scale =
-                driver::defaultScale(ds) * ctx.knobs.scale_mult;
+            double scale = driver::effectiveScale(ds, ctx.knobs);
             KernelProfile p;
             if (app == "Conv") {
                 const auto &layer = loadConvDataset(ds, scale).layer;
@@ -461,8 +461,30 @@ runTable13(const StudyContext &ctx)
 {
     using namespace capstan::baselines;
     using namespace capstan::workloads;
-    using sim::CapstanConfig;
-    using sim::MemTech;
+
+    // Capstan's side of the six comparisons, as one sweep:
+    //  - EIE: CSC SpMV compute throughput. EIE keeps its weights
+    //    on-chip, so Capstan runs the ideal network + memory point.
+    //  - SCNN: convolution on HBM2E.
+    //  - Graphicionado: PR / BFS / SSSP on DDR4 without back pointers.
+    //  - MatRaptor: SpMSpM on HBM2E.
+    const std::vector<std::pair<std::string, std::string>> graph_rows = {
+        {"PR-Pull", "graphicionado_pr"},
+        {"BFS", "graphicionado_bfs"},
+        {"SSSP", "graphicionado_sssp"}};
+    const std::string conv_ds = "ResNet-50 #2";
+    const std::string spmspm_ds = "qc324";
+    std::vector<DriverOptions> points;
+    points.push_back(ctx.base("CSC", "ckt11752_dc_1"));
+    apply(points.back(), "config", "ideal");
+    points.push_back(ctx.base("Conv", conv_ds));
+    for (const auto &[app, key] : graph_rows) {
+        points.push_back(ctx.base(app, "flickr"));
+        apply(points.back(), "memtech", "ddr4");
+        points.back().write_pointers = false;
+    }
+    points.push_back(ctx.base("SpMSpM", spmspm_ds));
+    auto results = ctx.sweep(points);
 
     StudyResult result;
     StudyTable table;
@@ -481,77 +503,42 @@ runTable13(const StudyContext &ctx)
                        ctx.paper("table13", "speedup10/" + key), 2)});
     };
 
-    // EIE: CSC SpMV compute throughput (weights on-chip for EIE, so
-    // the Capstan run uses the ideal network + memory design point).
-    {
-        std::string ds = "ckt11752_dc_1";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale,
-                                      ctx.knobs.dataset_dir,
-                                      CacheMode::Auto,
-                                      ctx.knobs.matrix_store)
-                     .matrix;
-        double cap = seconds(driver::runApp(
-            "CSC", ds, CapstanConfig::ideal(), ctx.knobs));
-        addRow("eie", "EIE", "CSC", eieSeconds(m, 0.30) / cap);
-    }
+    addRow("eie", "EIE", "CSC",
+           eieSeconds(results[0].result.info.nnz, 0.30) /
+               pointSeconds(results[0]));
 
-    // SCNN: convolution. SCNN's 1024-multiplier array dwarfs the
-    // simulated tiles/200 chip slice, so its throughput is weak-scaled
-    // by the same fraction.
+    // SCNN's 1024-multiplier array dwarfs the simulated tiles/200 chip
+    // slice, so its throughput is weak-scaled by the same fraction.
     {
-        std::string ds = "ResNet-50 #2";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto layer = loadConvDataset(ds, scale).layer;
-        double cap = seconds(driver::runApp(
-            "Conv", ds, CapstanConfig::capstan(MemTech::HBM2E),
-            ctx.knobs));
+        auto layer =
+            loadConvDataset(conv_ds,
+                            driver::effectiveScale(conv_ds, ctx.knobs))
+                .layer;
         double fraction = std::min(1.0, ctx.knobs.tiles / 200.0);
         addRow("scnn", "SCNN", "Conv",
-               scnnSeconds(layer) / fraction / cap);
+               scnnSeconds(layer) / fraction / pointSeconds(results[1]));
     }
 
-    // Graphicionado: PR / BFS / SSSP with DDR4, no back pointers.
-    {
-        const std::vector<std::pair<std::string, std::string>> rows = {
-            {"PR-Pull", "graphicionado_pr"},
-            {"BFS", "graphicionado_bfs"},
-            {"SSSP", "graphicionado_sssp"}};
-        for (const auto &[app, key] : rows) {
-            std::string ds = "flickr";
-            double scale =
-                driver::defaultScale(ds) * ctx.knobs.scale_mult;
-            auto g =
-                resolveMatrixDataset(ds, scale,
-                                     ctx.knobs.dataset_dir,
-                                     CacheMode::Auto,
-                                     ctx.knobs.matrix_store)
-                    .matrix;
-            driver::RunKnobs knobs = ctx.knobs;
-            knobs.write_pointers = false;
-            double cap = seconds(driver::runApp(
-                app, ds, CapstanConfig::capstan(MemTech::DDR4),
-                knobs));
-            double passes =
-                app == "PR-Pull" ? knobs.iterations : 6;
-            double edges =
-                static_cast<double>(g.nnz()) *
-                (app == "PR-Pull" ? knobs.iterations : 1.2);
-            double graphi = graphicionadoSeconds(
-                edges, static_cast<int>(passes));
-            addRow(key, "Graphicionado",
-                   app == "PR-Pull" ? "PR" : app, graphi / cap);
-        }
+    for (std::size_t i = 0; i < graph_rows.size(); ++i) {
+        const auto &[app, key] = graph_rows[i];
+        const SweepPointResult &r = results[2 + i];
+        bool pr = app == "PR-Pull";
+        double passes = pr ? ctx.knobs.iterations : 6;
+        double edges = static_cast<double>(r.result.info.nnz) *
+                       (pr ? ctx.knobs.iterations : 1.2);
+        double graphi =
+            graphicionadoSeconds(edges, static_cast<int>(passes));
+        addRow(key, "Graphicionado", pr ? "PR" : app,
+               graphi / pointSeconds(r));
     }
 
     // MatRaptor: SpMSpM at its highest demonstrated 10 GOP/s.
     {
-        std::string ds = "qc324";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale,
-                                      ctx.knobs.dataset_dir,
-                                      CacheMode::Auto,
-                                      ctx.knobs.matrix_store)
+        auto m = resolveMatrixDataset(
+                     spmspm_ds,
+                     driver::effectiveScale(spmspm_ds, ctx.knobs),
+                     ctx.knobs.dataset_dir, CacheMode::Auto,
+                     ctx.knobs.matrix_store)
                      .matrix;
         sparse::MatrixView mv(m);
         double mults = 0;
@@ -559,11 +546,8 @@ runTable13(const StudyContext &ctx)
             for (Index j : mv.indices(i))
                 mults += mv.length(j);
         }
-        double cap = seconds(driver::runApp(
-            "SpMSpM", ds, CapstanConfig::capstan(MemTech::HBM2E),
-            ctx.knobs));
         addRow("matraptor", "MatRaptor", "SpMSpM",
-               matraptorSeconds(mults) / cap);
+               matraptorSeconds(mults) / pointSeconds(results.back()));
     }
 
     result.tables.push_back(std::move(table));
@@ -801,9 +785,33 @@ runFig6(const StudyContext &ctx)
 StudyResult
 runFig7(const StudyContext &ctx)
 {
-    using sim::CapstanConfig;
     using sim::StallBreakdown;
     using sim::StallClass;
+
+    // Layered configurations per (app, dataset), Section 4.4 "Stall
+    // Breakdown": ideal; + network (the ideal memory and SpMU with the
+    // hop latency restored); + allocated SRAM; + DRAM. All points run
+    // as one sweep, layer-minor: index pair * 4 + layer.
+    std::vector<std::pair<std::string, std::string>> pairs;
+    std::vector<DriverOptions> points;
+    for (const auto &app : allApps()) {
+        if (app == "BiCGStab")
+            continue; // Fig. 7 covers the ten Table 2 applications.
+        for (const auto &ds : datasetsFor(app)) {
+            pairs.emplace_back(app, ds);
+            DriverOptions ideal = ctx.base(app, ds);
+            apply(ideal, "config", "ideal");
+            DriverOptions with_net = ctx.base(app, ds);
+            apply(with_net, "memtech", "ideal");
+            apply(with_net, "spmu-ideal", "true");
+            DriverOptions with_sram = ctx.base(app, ds);
+            apply(with_sram, "memtech", "ideal");
+            DriverOptions full = ctx.base(app, ds);
+            apply(full, "memtech", "hbm2e");
+            points.insert(points.end(), {ideal, with_net, with_sram, full});
+        }
+    }
+    auto results = ctx.sweep(points);
 
     StudyResult result;
     StudyTable table;
@@ -812,66 +820,44 @@ runFig7(const StudyContext &ctx)
         table.headers.push_back(
             sim::stallClassName(static_cast<StallClass>(c)));
 
-    for (const auto &app : allApps()) {
-        if (app == "BiCGStab")
-            continue; // Fig. 7 covers the ten Table 2 applications.
-        for (const auto &ds : datasetsFor(app)) {
-            // Layered configurations: ideal, + network, + allocated
-            // SRAM, + DRAM (Section 4.4 "Stall Breakdown").
-            CapstanConfig ideal = CapstanConfig::ideal();
-            CapstanConfig with_net = CapstanConfig::ideal();
-            with_net.network_hop_latency =
-                CapstanConfig::capstan().network_hop_latency;
-            CapstanConfig with_sram = with_net;
-            with_sram.spmu.ideal = false;
-            CapstanConfig full =
-                CapstanConfig::capstan(sim::MemTech::HBM2E);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        const auto &[app, ds] = pairs[p];
+        auto cycles = [&](std::size_t layer) {
+            return static_cast<double>(
+                results[p * 4 + layer].result.timing.cycles);
+        };
+        const driver::RunResult &ideal = results[p * 4].result;
+        const int lanes = results[p * 4 + 3].result.config.spmu.lanes;
+        double lane_width = static_cast<double>(lanes) * ctx.knobs.tiles;
 
-            auto t_ideal = driver::runApp(app, ds, ideal, ctx.knobs);
-            auto t_net = driver::runApp(app, ds, with_net, ctx.knobs);
-            auto t_sram =
-                driver::runApp(app, ds, with_sram, ctx.knobs);
-            auto t_full = driver::runApp(app, ds, full, ctx.knobs);
+        StallBreakdown synth;
+        const auto &tot = ideal.timing.totals;
+        synth[StallClass::Active] = tot.active_lane_cycles;
+        synth[StallClass::Scan] = tot.scan_empty_cycles * lanes;
+        synth[StallClass::VectorLength] = tot.vector_idle_lane_cycles;
+        synth[StallClass::Imbalance] = tot.imbalance_lane_cycles;
+        double total_lane_cycles = cycles(0) * lane_width;
+        double accounted = synth[StallClass::Active] +
+                           synth[StallClass::Scan] +
+                           synth[StallClass::VectorLength] +
+                           synth[StallClass::Imbalance];
+        synth[StallClass::LoadStore] =
+            std::max(0.0, total_lane_cycles - accounted);
 
-            const int lanes = full.spmu.lanes;
-            double lane_width =
-                static_cast<double>(lanes) * ctx.knobs.tiles;
+        StallBreakdown b = layerBreakdown(synth, cycles(0), cycles(1),
+                                          cycles(2), cycles(3),
+                                          lane_width);
 
-            StallBreakdown synth;
-            const auto &tot = t_ideal.totals;
-            synth[StallClass::Active] = tot.active_lane_cycles;
-            synth[StallClass::Scan] = tot.scan_empty_cycles * lanes;
-            synth[StallClass::VectorLength] =
-                tot.vector_idle_lane_cycles;
-            synth[StallClass::Imbalance] = tot.imbalance_lane_cycles;
-            double total_lane_cycles =
-                static_cast<double>(t_ideal.cycles) * lane_width;
-            double accounted = synth[StallClass::Active] +
-                               synth[StallClass::Scan] +
-                               synth[StallClass::VectorLength] +
-                               synth[StallClass::Imbalance];
-            synth[StallClass::LoadStore] =
-                std::max(0.0, total_lane_cycles - accounted);
-
-            StallBreakdown b = layerBreakdown(
-                synth, static_cast<double>(t_ideal.cycles),
-                static_cast<double>(t_net.cycles),
-                static_cast<double>(t_sram.cycles),
-                static_cast<double>(t_full.cycles), lane_width);
-
-            std::vector<std::string> row = {app, ds};
-            for (int c = 0; c < sim::kStallClasses; ++c) {
-                double pct =
-                    b.percent(static_cast<StallClass>(c));
-                result.metric(
-                    app + "/" + ds + "/" +
-                        sim::stallClassName(
-                            static_cast<StallClass>(c)),
-                    pct);
-                row.push_back(num(pct, 1));
-            }
-            table.rows.push_back(std::move(row));
+        std::vector<std::string> row = {app, ds};
+        for (int c = 0; c < sim::kStallClasses; ++c) {
+            double pct = b.percent(static_cast<StallClass>(c));
+            result.metric(app + "/" + ds + "/" +
+                              sim::stallClassName(
+                                  static_cast<StallClass>(c)),
+                          pct);
+            row.push_back(num(pct, 1));
         }
+        table.rows.push_back(std::move(row));
     }
     result.tables.push_back(std::move(table));
     result.notes =

@@ -49,6 +49,7 @@ StudyContext::base(const std::string &app,
     base.app = app;
     base.dataset = dataset;
     base.dataset_dir = knobs.dataset_dir;
+    base.matrix_store = knobs.matrix_store;
     base.scale = knobs.scale_mult;
     base.tiles = knobs.tiles;
     base.iterations = knobs.iterations;

@@ -1,18 +1,17 @@
 /**
  * @file
  * The paper-artifact study registry behind `capstan-report` and the
- * bench harness.
+ * engine's study jobs.
  *
  * Every figure and table the paper publishes is registered here as a
  * named *study*: a function that declares the runs it needs (app-level
- * studies build SweepSpecs and execute them on the driver's parallel
- * sweep engine; component-level studies step the hardware models
- * directly), derives its rows, and returns them together with a flat
- * metric list. The `capstan-report` CLI renders every study to
- * Markdown + CSV + JSON and checks the metrics against
- * `data/paper_reference.json` (report/reference.hpp); the `bench/`
- * binaries are thin shims that run one study each and print its
- * tables as text.
+ * studies declare DriverOptions points and execute them on the
+ * driver's parallel sweep engine through StudyContext::sweep;
+ * component-level studies step the hardware models directly), derives
+ * its rows, and returns them together with a flat metric list. The
+ * `capstan-report` CLI renders every study to Markdown + CSV + JSON
+ * and checks the metrics against `data/paper_reference.json`
+ * (report/reference.hpp).
  *
  * Study results are deterministic: simulated cycles depend only on the
  * preset knobs, never on the host, thread count, or wall-clock, so
@@ -105,7 +104,8 @@ struct StudyContext
 
     /**
      * The sweep base point every study axis varies around: @p app on
-     * @p dataset (empty = the app's default) under the preset knobs.
+     * @p dataset (empty = the app's default) with every preset knob
+     * (RunKnobs field) copied in.
      */
     driver::DriverOptions base(const std::string &app,
                                const std::string &dataset) const;

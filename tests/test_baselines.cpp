@@ -89,12 +89,12 @@ TEST(CpuGpuModel, ProfileAccumulationSums)
 TEST(AsicModels, EieIsFastWhenWeightsFitOnChip)
 {
     auto m = loadMatrixDataset("ckt11752_dc_1", 0.25).matrix;
-    double eie = eieSeconds(m, 0.3);
+    double eie = eieSeconds(m.nnz(), 0.3);
     // 64 PEs at 800 MHz on ~100k effective non-zeros: microseconds.
     EXPECT_GT(eie, 0.0);
     EXPECT_LT(eie, 1e-3);
     // Denser activations mean proportionally more work.
-    EXPECT_NEAR(eieSeconds(m, 0.6) / eie, 2.0, 0.01);
+    EXPECT_NEAR(eieSeconds(m.nnz(), 0.6) / eie, 2.0, 0.01);
 }
 
 TEST(AsicModels, ScnnUtilizationPenalizesShallowLayers)

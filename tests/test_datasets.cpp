@@ -589,15 +589,16 @@ TEST(Resolve, RectangularMatricesAreRejectedBySquareOnlyApps)
     fs::path dir = scratchDir("capstan_rect");
     writeFile(dir / "rect.mtx", kTinyGeneral); // 3x4.
     std::string name = "file:" + (dir / "rect.mtx").string();
+    driver::DriverOptions o;
+    o.dataset = name;
     for (const char *app : {"PR-Pull", "PR-Edge", "BFS", "SSSP",
-                            "M+M", "SpMSpM", "BiCGStab"})
-        EXPECT_THROW(driver::runApp(app, name, sim::CapstanConfig(),
-                                    {}),
-                     DatasetError)
-            << app;
+                            "M+M", "SpMSpM", "BiCGStab"}) {
+        o.app = app;
+        EXPECT_THROW(driver::runDriver(o), DatasetError) << app;
+    }
     // Rectangular SpMV variants are fine.
-    EXPECT_NO_THROW(
-        driver::runApp("CSR", name, sim::CapstanConfig(), {}));
+    o.app = "CSR";
+    EXPECT_NO_THROW(driver::runDriver(o));
 }
 
 TEST(Resolve, SweepMarksDatasetFailuresAsUsageErrors)

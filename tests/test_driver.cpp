@@ -217,6 +217,35 @@ TEST(DriverOptions, ApplyOptionIsTheSingleValidationPath)
     EXPECT_FALSE(applyOption(o, "tiles", "-1").empty());
     EXPECT_EQ(o.tiles, kMaxTiles); // A rejected value leaves no trace.
     EXPECT_FALSE(parseArgs({"--tiles", "2147483647"}).ok());
+    // No rejected value of any numeric key leaves a trace: the point
+    // identity (every run-defining field) and the raw fields are
+    // unchanged.
+    DriverOptions set;
+    set.scale = 0.5;
+    set.iterations = 3;
+    set.queue_depth = 8;
+    set.bandwidth_gbps = 100;
+    set.scan_bits = 64;
+    set.scan_outputs = 4;
+    set.scan_data_elems = 8;
+    const std::vector<std::pair<std::string, std::string>> rejected = {
+        {"scale", "0"},           {"scale", "-1"},
+        {"scale", "4x"},          {"iterations", "0"},
+        {"iterations", "2.5"},    {"iterations", "-3"},
+        {"queue-depth", "0"},     {"queue-depth", "7x"},
+        {"bandwidth-gbps", "-5"}, {"bandwidth-gbps", "9q"},
+        {"scan-bits", "0"},       {"scan-outputs", "-2"},
+        {"scan-data-elems", "1.5"}};
+    for (const auto &[key, value] : rejected) {
+        DriverOptions after = set;
+        EXPECT_FALSE(applyOption(after, key, value).empty())
+            << key << "=" << value;
+        EXPECT_EQ(pointIdentity(after), pointIdentity(set))
+            << key << "=" << value;
+        EXPECT_EQ(after.scale, set.scale) << key << "=" << value;
+        EXPECT_EQ(after.iterations, set.iterations)
+            << key << "=" << value;
+    }
     // Every advertised key is dispatched (none falls through to the
     // unknown-option branch).
     for (const auto &key : optionKeys()) {

@@ -2,8 +2,8 @@
  * @file
  * Tests for the paper-reproduction report layer (src/report/): study
  * registry enumeration, the reference comparator's tolerance edges
- * (missing key, NaN, relative-vs-absolute slack), and golden
- * Markdown/CSV/text rendering.
+ * (missing key, NaN, relative-vs-absolute slack), golden Markdown/CSV
+ * rendering, and the preset knobs every study point inherits.
  */
 
 #include <cmath>
@@ -242,20 +242,6 @@ TEST(Render, NumFormatting)
     EXPECT_EQ(oursPaper(1.5, 2.0), "1.50 / 2.00");
 }
 
-TEST(Render, TextGolden)
-{
-    std::string text = renderText(demoRun().result);
-    EXPECT_EQ(text,
-              "Demo\n"
-              "\n"
-              "App  X   \n"
-              "---------\n"
-              "CSR  1.00\n"
-              "COO  2.00\n"
-              "\n"
-              "A note.\n");
-}
-
 TEST(Render, MarkdownGolden)
 {
     StudyRun run = demoRun();
@@ -397,6 +383,29 @@ TEST(StudyExecution, AnalyticAreaStudiesRun)
             EXPECT_NEAR(value, 16.0, 2.0);
         }
     }
+}
+
+TEST(StudyExecution, BaseCarriesEveryPresetKnob)
+{
+    StudyContext ctx;
+    // Binding every member means a new RunKnobs field stops this test
+    // compiling until it is set and checked here too.
+    auto &[tiles, iterations, scale_mult, dataset_dir, matrix_store] =
+        ctx.knobs;
+    tiles = 7;
+    iterations = 3;
+    scale_mult = 0.5;
+    dataset_dir = "datasets";
+    matrix_store = sparse::StoreKind::Compressed;
+
+    driver::DriverOptions p = ctx.base("bfs", "flickr");
+    EXPECT_EQ(p.app, "bfs");
+    EXPECT_EQ(p.dataset, "flickr");
+    EXPECT_EQ(p.tiles, 7);
+    EXPECT_EQ(p.iterations, 3);
+    EXPECT_EQ(p.scale, 0.5);
+    EXPECT_EQ(p.dataset_dir, "datasets");
+    EXPECT_EQ(p.matrix_store, sparse::StoreKind::Compressed);
 }
 
 TEST(StudyExecution, SweepFailuresSurfaceAsExceptions)

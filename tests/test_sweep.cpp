@@ -305,6 +305,24 @@ TEST(SweepRun, CsvHasHeaderAndOneRowPerPoint)
     EXPECT_NE(csv.find("SpMSpM,"), std::string::npos);
 }
 
+TEST(SweepRun, WritePointersReachesGraphAppsAndThePointIdentity)
+{
+    // The study-only back-pointer knob has no option key, so a sweep
+    // cannot vary it; a study sets it on a point directly (Table 13's
+    // Graphicionado rows). It must change the run and must keep two
+    // such points apart in deduplication.
+    for (const char *app : {"bfs", "sssp"}) {
+        DriverOptions with = tinyBase();
+        with.app = app;
+        DriverOptions without = with;
+        without.write_pointers = false;
+        EXPECT_NE(pointIdentity(with), pointIdentity(without)) << app;
+        EXPECT_NE(runDriver(with).timing.cycles,
+                  runDriver(without).timing.cycles)
+            << app;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent dataset cache (run under TSan in CI).
 // ---------------------------------------------------------------------------
@@ -313,11 +331,10 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
 {
     // An unusual scale keys fresh cache entries, so every thread
     // races on first-time generation rather than hitting warm data.
-    RunKnobs knobs;
-    knobs.tiles = 2;
-    knobs.iterations = 1;
-    knobs.scale_mult = 0.017;
-    sim::CapstanConfig cfg = sim::CapstanConfig::capstan();
+    DriverOptions base;
+    base.tiles = 2;
+    base.iterations = 1;
+    base.scale = 0.017;
 
     constexpr int kThreads = 8;
     std::vector<sim::Cycle> cycles(kThreads, 0);
@@ -326,14 +343,15 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
         pool.emplace_back([&, t] {
             // Mix apps so the matrix cache, the transpose cache, and
             // the conv cache all see concurrent first access.
-            const char *app = (t % 2 == 0) ? "CSR" : "M+M";
-            if (t == kThreads - 1)
-                app = "Conv";
-            const char *dataset = (t == kThreads - 1)
-                                      ? "ResNet-50 #1"
-                                      : "ckt11752_dc_1";
+            DriverOptions o = base;
+            o.app = (t % 2 == 0) ? "CSR" : "M+M";
+            o.dataset = "ckt11752_dc_1";
+            if (t == kThreads - 1) {
+                o.app = "Conv";
+                o.dataset = "ResNet-50 #1";
+            }
             cycles[static_cast<std::size_t>(t)] =
-                runApp(app, dataset, cfg, knobs).cycles;
+                runDriver(o).timing.cycles;
         });
     }
     for (auto &t : pool)

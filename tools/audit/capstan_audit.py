@@ -27,9 +27,13 @@ flag-plumbing    Every DriverOptions field (src/driver/options.hpp)
                  documented in the usage text + README.md +
                  docs/OUTPUT_SCHEMA.md) or an explicit never-serialized
                  denylist entry with a justification (then: absent
-                 from optionKeys(), documented in usage + README).
-                 Fields that flow into RunKnobs declare `knob`; the
-                 audit checks the knob exists and is assigned.
+                 from optionKeys(), documented in usage + README) or
+                 an `internal` study-only field with a justification
+                 (then: no flag and absent from optionKeys(), so no
+                 CLI or wire request can reach it). Fields a report
+                 preset sets declare the RunKnobs `knob`; the audit
+                 checks the knob exists and that StudyContext::base
+                 (src/report/study.cpp) reads it.
 env-registry     Every getenv() in src/ must name its variable through
                  a constant in src/common/env.hpp (no raw string
                  literals at call sites), every registry constant must
@@ -604,7 +608,7 @@ def audit_flag_plumbing(root, supp, cache=None):
     opts_cpp = Path("src") / "driver" / "options.cpp"
     sweep_cpp = Path("src") / "driver" / "sweep.cpp"
     runner_hpp = Path("src") / "driver" / "runner.hpp"
-    runner_cpp = Path("src") / "driver" / "runner.cpp"
+    study_cpp = Path("src") / "report" / "study.cpp"
 
     for req in (opts_hpp, opts_cpp, PLUMBING_JSON):
         if not (root / req).is_file():
@@ -645,9 +649,9 @@ def audit_flag_plumbing(root, supp, cache=None):
     if (root / runner_hpp).is_file():
         knob_fields = struct_fields(cache.tokens(str(runner_hpp)),
                                     "RunKnobs")
-    runner_text = capstan_lint.strip_comments(
-        cache.text(str(runner_cpp))) \
-        if (root / runner_cpp).is_file() else ""
+    study_text = capstan_lint.strip_comments(
+        cache.text(str(study_cpp))) \
+        if (root / study_cpp).is_file() else ""
 
     rel = str(opts_hpp)
 
@@ -663,7 +667,25 @@ def audit_flag_plumbing(root, supp, cache=None):
                         f"never-serialized denylist?)")
             continue
         axis = spec.get("axis")
-        if axis:
+        internal = "internal" in spec
+        if internal:
+            flag = ""
+            if not str(spec.get("internal", "")).strip():
+                add_finding(findings, supp, rel, 1, "flag-plumbing",
+                            f"internal field '{field}' has no "
+                            f"justification")
+            if "flag" in spec or "axis" in spec:
+                add_finding(findings, supp, rel, 1, "flag-plumbing",
+                            f"internal field '{field}' declares a "
+                            f"flag or axis: it must stay unreachable "
+                            f"from the CLI and the wire")
+            key = field.replace("_", "-")
+            if key in option_keys or field in option_keys:
+                add_finding(findings, supp, rel, 1, "flag-plumbing",
+                            f"internal field '{field}' ('{key}') "
+                            f"appears in optionKeys(): it would be "
+                            f"reachable from the CLI and the wire")
+        elif axis:
             flag = "--" + axis
             if axis not in option_keys:
                 add_finding(findings, supp, rel, 1, "flag-plumbing",
@@ -717,11 +739,11 @@ def audit_flag_plumbing(root, supp, cache=None):
                             f"field '{field}': declared knob "
                             f"'{knob}' is not a RunKnobs member "
                             f"({runner_hpp})")
-            if runner_text and f"knobs.{knob}" not in runner_text:
+            if study_text and f"knobs.{knob}" not in study_text:
                 add_finding(findings, supp, rel, 1, "flag-plumbing",
                             f"field '{field}': knob '{knob}' is "
-                            f"never assigned (knobs.{knob}) in "
-                            f"{runner_cpp}")
+                            f"never read (knobs.{knob}) in "
+                            f"{study_cpp}")
 
     for field in declared:
         if field not in fields:

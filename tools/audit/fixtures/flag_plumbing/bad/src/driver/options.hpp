@@ -4,4 +4,5 @@
 struct DriverOptions {
   std::string app = "spmv";
   int ghost_knob = 0;
+  bool quiet = false;
 };

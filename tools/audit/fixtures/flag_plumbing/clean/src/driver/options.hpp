@@ -4,4 +4,5 @@
 struct DriverOptions {
   std::string app = "spmv";
   std::string output;
+  bool study_only = true;
 };

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for capstan-audit's lexer and include-graph builder.
+"""Unit tests for capstan-audit's lexer, include-graph builder and
+flag-plumbing contract.
 
 Runs as the `audit_units` ctest (lint label). Python stdlib unittest
 only; fixture trees are built in a tempdir so the tests are hermetic.
@@ -110,6 +111,59 @@ class FunctionBodyTest(unittest.TestCase):
                           'const char *t = "ef";')
         strs = [s for s, _ in capstan_audit.logical_strings(toks)]
         self.assertEqual(strs, ["abcd", "ef"])
+
+
+class InternalFieldTest(unittest.TestCase):
+    """flag-plumbing's `internal` kind: study-only DriverOptions fields."""
+
+    OPTIONS_CPP = (
+        '#include "driver/options.hpp"\n'
+        'std::vector<std::string> optionKeys() {\n'
+        '  return {"app", %s};\n'
+        '}\n'
+        'bool applyOption(DriverOptions &o, const std::string &key,\n'
+        '                 const std::string &v) {\n'
+        '  if (key == "app") { o.app = v; return true; }\n'
+        '  return false;\n'
+        '}\n')
+
+    def findings(self, spec, extra_key=""):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "src" / "driver").mkdir(parents=True)
+            (root / "tools" / "audit").mkdir(parents=True)
+            (root / "src" / "driver" / "options.hpp").write_text(
+                "struct DriverOptions {\n"
+                "  std::string app;\n"
+                "  bool write_pointers = true;\n"
+                "};\n")
+            (root / "src" / "driver" / "options.cpp").write_text(
+                self.OPTIONS_CPP % (extra_key or '"scale"'))
+            (root / "tools" / "audit" / "plumbing.json").write_text(
+                '{"fields": {"app": {"axis": "app"}, '
+                '"write_pointers": %s}}' % spec)
+            supp = capstan_audit.load_suppressions(root)
+            return [f.message for f in
+                    capstan_audit.audit_flag_plumbing(root, supp)
+                    if "write_pointers" in f.message]
+
+    def test_justified_internal_field_is_clean(self):
+        self.assertEqual(
+            self.findings('{"internal": "set by a study only"}'), [])
+
+    def test_internal_field_needs_a_justification(self):
+        msgs = self.findings('{"internal": " "}')
+        self.assertTrue(any("justification" in m for m in msgs), msgs)
+
+    def test_internal_field_must_stay_out_of_option_keys(self):
+        msgs = self.findings('{"internal": "study only"}',
+                             extra_key='"write-pointers"')
+        self.assertTrue(any("optionKeys()" in m for m in msgs), msgs)
+
+    def test_internal_field_declares_no_flag(self):
+        msgs = self.findings(
+            '{"internal": "study only", "flag": "--write-pointers"}')
+        self.assertTrue(any("flag or axis" in m for m in msgs), msgs)
 
 
 class IncludeGraphTest(unittest.TestCase):
