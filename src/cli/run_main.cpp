@@ -7,7 +7,7 @@
  * layer (src/engine/) — the same path `capstan-serve` jobs take, which
  * is what the byte-identity differential test pins
  * (tests/test_engine.cpp). With `--sweep` / `--axis` the request is a
- * sweep; the engine expands and runs it on its worker pool and this
+ * sweep; the engine expands and runs it on its worker threads and this
  * front-end just streams stderr progress and writes the report.
  *
  * The same binary also builds as `capstan-sweep`, an alias whose first

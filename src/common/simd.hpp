@@ -89,16 +89,6 @@ inline void forEachSetBit(std::uint32_t mask, Fn &&fn)
     }
 }
 
-/** 64-bit variant of forEachSetBit, same ascending-order guarantee. */
-template <typename Fn>
-inline void forEachSetBit64(std::uint64_t mask, Fn &&fn)
-{
-    while (mask != 0) {
-        fn(std::countr_zero(mask));
-        mask &= mask - 1;
-    }
-}
-
 /**
  * Capstan bank hash: XOR-fold the low four nibbles of an address
  * (a[0:3] ^ a[4:7] ^ a[8:11] ^ a[12:15]). Pure bit math so a batch

@@ -235,9 +235,6 @@ runSweep(const std::vector<DriverOptions> &points,
     std::size_t workers =
         static_cast<std::size_t>(resolveJobs(exec.jobs));
     workers = std::min(workers, points.size());
-    if (exec.pool)
-        workers = std::min(
-            workers, static_cast<std::size_t>(exec.pool->workers()));
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
@@ -279,21 +276,16 @@ runSweep(const std::vector<DriverOptions> &points,
 
     if (workers == 1) {
         work(); // Keep single-job sweeps debuggable: no threads at all.
-    } else if (exec.pool) {
-        // One dispatch slot per worker; each slot drains the shared
-        // claim counter. All writes are per-index (claimed[i],
-        // results[i]), per the pool's determinism contract.
-        exec.pool->run(static_cast<int>(workers),
-                       [&](int begin, int end, int) {
-                           for (int s = begin; s < end; ++s)
-                               work();
-                       });
     } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t)
-            threads.emplace_back(work);
-        for (auto &t : threads)
+        // workers - 1 helpers plus the calling thread all drain the
+        // shared claim counter; every write is per-index (claimed[i],
+        // results[i]), so results do not depend on the thread count.
+        std::vector<std::thread> helpers;
+        helpers.reserve(workers - 1);
+        for (std::size_t t = 1; t < workers; ++t)
+            helpers.emplace_back(work);
+        work();
+        for (auto &t : helpers)
             t.join();
     }
 

@@ -9,12 +9,12 @@
  * as a base point (ordinary DriverOptions) plus axes — named option
  * keys with value lists — whose cartesian product expands into a
  * deterministic, deduplicated work list. runSweep() executes the list
- * on a thread pool (the per-process dataset cache is generate-once and
- * thread-safe, so concurrent points share workloads), and the report
- * layer aggregates per-point results into one JSON document (plus
- * optional CSV) whose ordering is the expansion order, independent of
- * completion order — reports are byte-identical across runs and thread
- * counts.
+ * on worker threads it spawns and joins (the per-process dataset cache
+ * is generate-once and thread-safe, so concurrent points share
+ * workloads), and the report layer aggregates per-point results into
+ * one JSON document (plus optional CSV) whose ordering is the
+ * expansion order, independent of completion order — reports are
+ * byte-identical across runs and thread counts.
  *
  * Axis keys are exactly the driver's option keys (options.hpp:
  * optionKeys()), so a sweep can vary precisely what a single run can
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 
@@ -134,8 +133,8 @@ using SweepProgress = std::function<void(
     std::size_t done, std::size_t total, const SweepPointResult &)>;
 
 /**
- * How a sweep executes: worker count, an optional persistent pool, an
- * optional cancel token, and an optional progress callback. The
+ * How a sweep executes: worker count, an optional cancel token, and
+ * an optional progress callback. The
  * default-constructed value reproduces the classic
  * runSweep(points, 0, {}) behavior exactly.
  */
@@ -143,14 +142,6 @@ struct SweepExec
 {
     /** Worker threads (resolveJobs contract; 0 = all cores). */
     int jobs = 0;
-    /**
-     * Persistent worker pool to dispatch on instead of spawning
-     * threads per call (the engine's pool, shared across jobs so a
-     * daemon does not churn threads). The effective worker count is
-     * clamped to the pool's size; results are byte-identical either
-     * way.
-     */
-    common::WorkerPool *pool = nullptr;
     /**
      * Cooperative cancel token. Workers poll it before claiming the
      * next point: in-flight points finish, unclaimed points come back

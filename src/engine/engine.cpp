@@ -298,8 +298,6 @@ Engine::Engine(EngineConfig cfg) : cfg_(std::move(cfg))
             "steps on one host thread; use jobs for parallelism across "
             "points");
     resolved_jobs_ = driver::resolveJobs(cfg_.jobs);
-    if (resolved_jobs_ >= 2)
-        pool_ = std::make_unique<common::WorkerPool>(resolved_jobs_);
 }
 
 Engine::~Engine() = default;
@@ -347,7 +345,7 @@ Engine::studyKnobs(const JobRequest &req) const
 int
 Engine::effectiveJobs(int request_jobs) const
 {
-    // A job may narrow, but never widen, the engine's pool.
+    // A job may narrow, but never widen, the engine's worker count.
     int jobs = request_jobs > 0 ? driver::resolveJobs(request_jobs)
                                 : resolved_jobs_;
     return std::min(jobs, resolved_jobs_);
@@ -398,7 +396,6 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
                     "sweep expands to zero points");
             driver::SweepExec exec;
             exec.jobs = effectiveJobs(req.jobs);
-            exec.pool = pool_.get();
             exec.cancel = hooks.cancel;
             exec.progress = hooks.progress;
             res.sweep = driver::runSweep(points, exec);
@@ -428,7 +425,6 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
             report::StudyContext ctx;
             ctx.knobs = studyKnobs(req);
             ctx.jobs = effectiveJobs(req.jobs);
-            ctx.pool = pool_.get();
             ctx.cancel = hooks.cancel;
             ctx.progress = hooks.progress;
             ctx.reference = reference();

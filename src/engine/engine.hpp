@@ -4,11 +4,11 @@
  *
  * Before this layer existed, `capstan-run`, `capstan-sweep`, and
  * `capstan-report` each held their own slice of execution logic:
- * dataset caching lived in the runner, the thread pool was respawned
- * per sweep call, and report presets were wired into the report CLI.
- * The Engine owns those pieces once — the generate-once dataset /
- * `.cbin` caches (process-wide, driver/runner.cpp), a persistent
- * sweep WorkerPool, and the paper reference — and exposes one
+ * dataset caching lived in the runner and report presets were wired
+ * into the report CLI. The Engine owns those pieces once — the
+ * generate-once dataset / `.cbin` caches (process-wide,
+ * driver/runner.cpp), the sweep worker count, and the paper
+ * reference — and exposes one
  * validated JobRequest/JobResult model covering the three job kinds
  * (single run, sweep, report study). The CLIs are thin front-ends
  * that build a JobRequest and execute it here; `capstan-serve`
@@ -18,11 +18,12 @@
  * Determinism: executing a JobRequest produces the *byte-identical*
  * JSON document the corresponding CLI invocation prints
  * (tests/test_engine.cpp pins a 12-point differential matrix), and
- * results never depend on jobs/pool size or on whether a cancel token
+ * results never depend on the worker count or on whether a cancel token
  * was armed but unfired.
  *
  * Concurrency: execute() runs one job on the calling thread
- * (internally parallel via the sweep pool). The engine serializes
+ * (a sweep or study spawns its own worker threads for the duration
+ * of the job and joins them before returning). The engine serializes
  * concurrent execute() calls with a mutex — the serve executor is
  * single-threaded anyway — while stats() is safe to call from any
  * thread at any time.
@@ -32,14 +33,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
@@ -183,11 +182,8 @@ class Engine
 
     const EngineConfig &config() const { return cfg_; }
 
-    /** Resolved sweep worker count (the pool's size; >= 1). */
+    /** Resolved sweep worker count (the per-job ceiling; >= 1). */
     int jobs() const { return resolved_jobs_; }
-
-    /** The persistent sweep pool; null when jobs() == 1. */
-    common::WorkerPool *pool() { return pool_.get(); }
 
     /**
      * The paper reference: loads on first use (explicit path must
@@ -212,7 +208,6 @@ class Engine
 
     EngineConfig cfg_;
     int resolved_jobs_ = 1;
-    std::unique_ptr<common::WorkerPool> pool_;
 
     std::mutex exec_mutex_; //!< Serializes execute() calls.
 

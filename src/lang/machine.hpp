@@ -23,7 +23,7 @@
  * flip it between in-process runs.
  *
  * One machine steps on one host thread. Host parallelism lives across
- * simulations (the sweep pool, docs/ARCHITECTURE.md "Threading model").
+ * simulations (the sweep workers, docs/ARCHITECTURE.md "Threading model").
  *
  * This mirrors the paper's methodology: a custom cycle-level simulator at
  * vector granularity with a loosely-timed network (Section 4).

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -836,13 +837,12 @@ runFig7(const StudyContext &ctx)
         synth[StallClass::Scan] = tot.scan_empty_cycles * lanes;
         synth[StallClass::VectorLength] = tot.vector_idle_lane_cycles;
         synth[StallClass::Imbalance] = tot.imbalance_lane_cycles;
-        double total_lane_cycles = cycles(0) * lane_width;
-        double accounted = synth[StallClass::Active] +
-                           synth[StallClass::Scan] +
-                           synth[StallClass::VectorLength] +
-                           synth[StallClass::Imbalance];
-        synth[StallClass::LoadStore] =
-            std::max(0.0, total_lane_cycles - accounted);
+        try {
+            synth[StallClass::LoadStore] =
+                sim::loadStoreLaneCycles(synth, cycles(0) * lane_width);
+        } catch (const std::runtime_error &e) {
+            throw std::runtime_error(app + " on " + ds + ": " + e.what());
+        }
 
         StallBreakdown b = layerBreakdown(synth, cycles(0), cycles(1),
                                           cycles(2), cycles(3),

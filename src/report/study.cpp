@@ -12,7 +12,6 @@ StudyContext::sweep(
 {
     driver::SweepExec exec;
     exec.jobs = jobs;
-    exec.pool = pool;
     exec.cancel = cancel;
     exec.progress = progress;
     auto results = driver::runSweep(points, exec);

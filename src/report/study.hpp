@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
 #include "report/reference.hpp"
@@ -88,13 +87,11 @@ struct StudyContext
     int jobs = 0;                //!< Sweep workers; 0 = all cores.
     const Reference *reference = nullptr; //!< May be null.
     driver::SweepProgress progress;       //!< Optional, for stderr.
-    /** Persistent sweep pool (the engine's); null = spawn per call. */
-    common::WorkerPool *pool = nullptr;
     /** Cancel token; sweep() throws StudyInterrupted when it fires. */
     const std::atomic<bool> *cancel = nullptr;
 
     /**
-     * Execute expanded sweep points on the driver's thread pool and
+     * Execute expanded sweep points on the sweep's worker threads and
      * return results in point order. Throws std::runtime_error when
      * any point fails (a study must not render inf/nan cells from a
      * half-failed sweep).

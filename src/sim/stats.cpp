@@ -1,6 +1,7 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace capstan::sim {
 
@@ -59,6 +60,22 @@ layerBreakdown(const StallBreakdown &synthetic, double cycles_ideal,
     out[StallClass::Dram] =
         std::max(0.0, (cycles_dram - cycles_sram) * lanes_per_cycle);
     return out;
+}
+
+double
+loadStoreLaneCycles(const StallBreakdown &synthetic,
+                    double total_lane_cycles)
+{
+    double accounted = synthetic[StallClass::Active] +
+                       synthetic[StallClass::Scan] +
+                       synthetic[StallClass::VectorLength] +
+                       synthetic[StallClass::Imbalance];
+    if (accounted > total_lane_cycles)
+        throw std::runtime_error(
+            "stall breakdown over-counts the ideal run: " +
+            std::to_string(accounted) + " accounted of " +
+            std::to_string(total_lane_cycles) + " lane-cycles");
+    return total_lane_cycles - accounted;
 }
 
 } // namespace capstan::sim

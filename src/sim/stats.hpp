@@ -68,5 +68,15 @@ StallBreakdown layerBreakdown(const StallBreakdown &synthetic,
                               double cycles_sram, double cycles_dram,
                               double lanes_per_cycle);
 
+/**
+ * Load/Store lane-cycles of an ideal run: @p total_lane_cycles minus
+ * the Active, Scan, Vector Length and Imbalance classes of
+ * @p synthetic, an exact identity. Throws std::runtime_error when
+ * those classes add up to more than the total, an over-count that a
+ * clamp at zero would hide.
+ */
+double loadStoreLaneCycles(const StallBreakdown &synthetic,
+                           double total_lane_cycles);
+
 } // namespace capstan::sim
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/area.hpp"
 #include "sim/stats.hpp"
 
@@ -100,6 +102,28 @@ TEST(Stats, LayeredBreakdownClampsNegativeDeltas)
         layerBreakdown(synth, 100.0, 95.0, 95.0, 100.0, 2.0);
     EXPECT_DOUBLE_EQ(full[StallClass::Network], 0.0);
     EXPECT_DOUBLE_EQ(full[StallClass::Dram], 10.0);
+}
+
+TEST(Stats, LoadStoreIsTheExactResidualOfTheIdealRun)
+{
+    StallBreakdown synth;
+    synth[StallClass::Active] = 60;
+    synth[StallClass::Scan] = 10;
+    synth[StallClass::VectorLength] = 5;
+    synth[StallClass::Imbalance] = 5;
+    EXPECT_DOUBLE_EQ(loadStoreLaneCycles(synth, 100.0), 20.0);
+    EXPECT_DOUBLE_EQ(loadStoreLaneCycles(synth, 80.0), 0.0);
+}
+
+TEST(Stats, LoadStoreOverCountIsAnErrorNotAClamp)
+{
+    // Fig. 7 is reachable over the wire, so an over-count must be a
+    // std::runtime_error (the engine reports it as a study error), not
+    // a zero that hides it and not an abort.
+    StallBreakdown synth;
+    synth[StallClass::Active] = 90;
+    synth[StallClass::Imbalance] = 11;
+    EXPECT_THROW(loadStoreLaneCycles(synth, 100.0), std::runtime_error);
 }
 
 TEST(Stats, ClassNamesAreStable)

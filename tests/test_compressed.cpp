@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -121,14 +120,8 @@ TEST(CompressedCodec, BeatsCsrOnTheCheckedInFixture)
 {
     // The documented claim: on tiny.mtx the compressed form is
     // smaller than plain CSR (delta + varint wins on local structure).
-    std::string path;
-    for (const char *prefix : {"data/fixtures/", "../data/fixtures/"}) {
-        std::string p = std::string(prefix) + "tiny.mtx";
-        if (std::filesystem::exists(p))
-            path = p;
-    }
-    if (path.empty())
-        GTEST_SKIP() << "fixture tiny.mtx not found";
+    std::string path =
+        std::string(CAPSTAN_SOURCE_DIR) + "/data/fixtures/tiny.mtx";
     MatrixStore s = workloads::loadRealStore(path, workloads::CacheMode::Off,
                                              StoreKind::Compressed);
     EXPECT_LT(s.encodedBytes(), s.csrBytes());

@@ -58,16 +58,11 @@ writeFile(const fs::path &path, const std::string &content)
     out << content;
 }
 
-/** Locate a checked-in fixture from the repo root or build dir. */
+/** A checked-in fixture, resolved from the source tree (any cwd). */
 std::string
 fixture(const std::string &name)
 {
-    for (const char *prefix : {"data/fixtures/", "../data/fixtures/"}) {
-        std::string path = prefix + name;
-        if (fs::exists(path))
-            return path;
-    }
-    return "data/fixtures/" + name;
+    return std::string(CAPSTAN_SOURCE_DIR) + "/data/fixtures/" + name;
 }
 
 const char *kTinyGeneral = "%%MatrixMarket matrix coordinate real general\n"

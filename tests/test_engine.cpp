@@ -4,8 +4,9 @@
  * contract that a JobRequest built from a wire JSON document executes
  * byte-identically to the same run built from DriverOptions (the CLI
  * path), JobRequest validation, the untrusted-input JSON parse limits
- * the wire path relies on, dataset-cache observability, and
- * cooperative sweep cancellation with skipped-point reporting.
+ * the wire path relies on, dataset-cache observability, cooperative
+ * sweep cancellation with skipped-point reporting, and the threaded
+ * sweep path at jobs = 4 (run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -400,6 +401,87 @@ TEST(EngineCancel, MidSweepCancelFinishesClaimedPointAndSkipsRest)
     EXPECT_FALSE(results[0].contains("skipped"));
     ASSERT_TRUE(results[1].contains("skipped"));
     EXPECT_TRUE(results[1].at("skipped").asBool());
+}
+
+// The only multi-thread path in the engine: runSweep's workers - 1
+// helper threads plus the calling thread, all draining one claim
+// counter. Documents must not depend on the thread count.
+TEST(EngineParallel, FourWorkersMatchOneByteForByte)
+{
+    engine::EngineConfig four_cfg;
+    four_cfg.jobs = 4;
+    engine::Engine four(four_cfg);
+    engine::Engine one(serialConfig());
+    ASSERT_EQ(four.jobs(), 4);
+    for (const char *wire :
+         {"{\"type\": \"sweep\", \"options\": {\"scale\": 0.02, "
+          "\"tiles\": 4, \"iterations\": 1}, "
+          "\"axes\": {\"app\": [\"spmv\", \"bfs\", \"spmspm\"], "
+          "\"tiles\": [2, 4]}}",
+          "{\"type\": \"study\", \"study\": \"table10\"}"}) {
+        SCOPED_TRACE(wire);
+        JsonValue doc = JsonValue::parse(wire);
+        engine::JobResult par = four.execute(
+            engine::JobRequest::fromJson(doc, four.config()));
+        engine::JobResult ser = one.execute(
+            engine::JobRequest::fromJson(doc, one.config()));
+        ASSERT_TRUE(par.ok) << par.error;
+        ASSERT_TRUE(ser.ok) << ser.error;
+        EXPECT_EQ(par.document.dump(2), ser.document.dump(2));
+    }
+}
+
+TEST(EngineCancel, MidSweepCancelAtFourWorkersSkipsOnlyUnclaimedPoints)
+{
+    engine::EngineConfig cfg;
+    cfg.jobs = 4;
+    engine::Engine eng(cfg);
+    engine::JobRequest req = engine::JobRequest::fromJson(
+        JsonValue::parse(
+            "{\"type\": \"sweep\", \"options\": {\"scale\": 0.02, "
+            "\"tiles\": 4, \"iterations\": 1}, "
+            "\"axes\": {\"app\": [\"spmv\", \"bfs\", \"matadd\", "
+            "\"pagerank\"], \"tiles\": [2, 4, 8]}}"),
+        eng.config());
+    std::atomic<bool> cancel{false};
+    engine::ExecHooks hooks;
+    hooks.cancel = &cancel;
+    hooks.progress = [&](std::size_t done, std::size_t,
+                         const driver::SweepPointResult &) {
+        if (done >= 1)
+            cancel.store(true); // Fire after the first point lands.
+    };
+    engine::JobResult res = eng.execute(req, hooks);
+    EXPECT_TRUE(res.interrupted);
+    ASSERT_EQ(res.sweep.size(), 12u);
+    // Claims come from one counter, so the claimed points are a
+    // prefix. Each worker claims its next point only after its
+    // progress call, which sees the fired token, so at most one point
+    // per worker ran. Every claimed point ends with a result: the
+    // first one completed, and the others either completed or were
+    // unwound by the machine-level cancel poll ("interrupted").
+    std::size_t claimed = 0;
+    while (claimed < res.sweep.size() && !res.sweep[claimed].skipped)
+        ++claimed;
+    EXPECT_GE(claimed, 1u);
+    EXPECT_LE(claimed, 4u);
+    std::size_t completed = 0;
+    const JsonValue &results = res.document.at("results");
+    ASSERT_EQ(results.size(), res.sweep.size());
+    for (std::size_t i = 0; i < res.sweep.size(); ++i) {
+        SCOPED_TRACE(i);
+        const driver::SweepPointResult &r = res.sweep[i];
+        EXPECT_EQ(r.skipped, i >= claimed);
+        EXPECT_EQ(results[i].contains("skipped"), i >= claimed);
+        if (i < claimed) {
+            EXPECT_TRUE(r.ok || r.error == "interrupted") << r.error;
+            completed += r.ok ? 1 : 0;
+        } else {
+            EXPECT_FALSE(r.ok);
+        }
+    }
+    EXPECT_GE(completed, 1u);
+    EXPECT_EQ(eng.stats().jobs_interrupted, 1u);
 }
 
 TEST(EngineStudy, QuickStudyRunsAndRendersOneStudyReport)

@@ -3,21 +3,18 @@
  * Tests for the parallel sweep engine (src/driver/sweep.hpp): spec
  * construction from JSON and CLI axes, cartesian expansion (count,
  * ordering, deduplication, rejection of unknown axes/values), the
- * thread-pool runner (deterministic report ordering, per-point error
- * capture, single-run equivalence), the WorkerPool it dispatches on,
- * and the generate-once dataset cache under concurrency (exercised by
- * the TSan CI job).
+ * threaded runner (deterministic report ordering, per-point error
+ * capture, single-run equivalence), and the generate-once dataset
+ * cache under concurrency (exercised by the TSan CI job).
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
@@ -365,79 +362,6 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
         EXPECT_EQ(cycles[static_cast<std::size_t>(t)], cycles[1]);
     for (int t = 0; t < kThreads; ++t)
         EXPECT_GT(cycles[static_cast<std::size_t>(t)], 0u);
-}
-
-// ---------------------------------------------------------------------------
-// WorkerPool: the sweep pool's partition and dispatch semantics.
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPool, ChunkPartitionsExactlyAndInOrder)
-{
-    // chunk() is the single source of truth for which worker owns
-    // which index; a merge in worker order (0, 1, ...) is only
-    // deterministic because the partition is static and contiguous.
-    for (int n : {1, 2, 3, 7, 16, 31, 64}) {
-        for (int workers : {1, 2, 3, 4, 8}) {
-            int covered = 0;
-            int prev_end = 0;
-            for (int w = 0; w < workers; ++w) {
-                auto [begin, end] = common::WorkerPool::chunk(
-                    n, workers, w);
-                EXPECT_EQ(begin, prev_end)
-                    << "gap/overlap at n=" << n << " w=" << w;
-                EXPECT_LE(begin, end);
-                // Balanced: chunk sizes differ by at most one.
-                EXPECT_LE(end - begin, n / workers + (n % workers ? 1 : 0));
-                covered += end - begin;
-                prev_end = end;
-            }
-            EXPECT_EQ(covered, n);
-            EXPECT_EQ(prev_end, n);
-        }
-    }
-}
-
-TEST(WorkerPool, RunVisitsEveryIndexExactlyOnce)
-{
-    common::WorkerPool pool(4);
-    EXPECT_EQ(pool.workers(), 4);
-    std::vector<int> hits(97, 0);
-    std::vector<int> owner(97, -1);
-    pool.run(97, [&](int begin, int end, int w) {
-        for (int i = begin; i < end; ++i) {
-            ++hits[static_cast<std::size_t>(i)];
-            owner[static_cast<std::size_t>(i)] = w;
-        }
-    });
-    for (int i = 0; i < 97; ++i) {
-        EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "index " << i;
-        auto [begin, end] = common::WorkerPool::chunk(97, 4,
-            owner[static_cast<std::size_t>(i)]);
-        EXPECT_TRUE(begin <= i && i < end)
-            << "index " << i << " ran outside its owner's chunk";
-    }
-}
-
-TEST(WorkerPool, ReusableAcrossManyDispatches)
-{
-    // The engine keeps one sweep pool for its whole lifetime (a
-    // capstan-serve daemon dispatches every job on it), so the pool
-    // must survive many short jobs without losing workers.
-    common::WorkerPool pool(3);
-    long total = 0;
-    for (int round = 0; round < 2000; ++round) {
-        std::array<long, 3> partial{};
-        pool.run(11, [&](int begin, int end, int w) {
-            long s = 0;
-            for (int i = begin; i < end; ++i)
-                s += i;
-            partial[static_cast<std::size_t>(w)] = s;
-        });
-        // Deterministic reduction: merge in worker index order.
-        for (long p : partial)
-            total += p;
-    }
-    EXPECT_EQ(total, 2000L * (11 * 10 / 2));
 }
 
 } // namespace

@@ -4,10 +4,10 @@
 capstan-lint (tools/lint/) checks line-level invariants one file at a
 time. This tool checks the properties that only exist *between* files:
 the include-layer DAG, the option-plumbing contract, the env-var kill
-switch registry, and worker-lambda escape paths that cross function
-boundaries. It is python3-stdlib only, driven by the build's
-compile_commands.json (for TU include paths) and a real lightweight
-C++ lexer (tools/audit/cpplex.py) — not regexes over raw text.
+switch registry, and the aging of suppression comments. It is
+python3-stdlib only, driven by the build's compile_commands.json (for
+TU include paths) and a real lightweight C++ lexer
+(tools/audit/cpplex.py) — not regexes over raw text.
 
 Audit classes
 -------------
@@ -39,14 +39,6 @@ env-registry     Every getenv() in src/ must name its variable through
                  literals at call sites), every registry constant must
                  be read somewhere, and every variable documented in
                  README.md or docs/.
-thread-escape    Inside a lambda dispatched on a common::WorkerPool,
-                 (a) writes to reference-captured locals,
-                 (b) unsubscripted writes to underscore members
-                 — including through member functions the lambda calls,
-                 transitively — and (c) non-const method calls on
-                 unsubscripted member objects (constness resolved from
-                 the class definitions across src/; std-container
-                 mutating-method names as fallback).
 stale-suppression
                  A `capstan-lint: allow(...)` or `capstan-audit:
                  allow(...)` comment that no longer suppresses a live
@@ -89,7 +81,6 @@ AUDIT_CLASSES = (
     "layer-dag",
     "flag-plumbing",
     "env-registry",
-    "thread-escape",
     "stale-suppression",
 )
 
@@ -103,19 +94,6 @@ ARCHITECTURE_MD = Path("docs") / "ARCHITECTURE.md"
 
 DIAGRAM_BEGIN = "<!-- capstan-audit:layers:begin -->"
 DIAGRAM_END = "<!-- capstan-audit:layers:end -->"
-
-# Mutating std-container methods: the fallback verdict when a member
-# object's type cannot be resolved to a class defined in src/.
-MUTATING_METHODS = frozenset({
-    "push_back", "emplace_back", "push_front", "emplace_front",
-    "emplace", "push", "pop", "pop_back", "pop_front", "insert",
-    "erase", "clear", "resize", "assign", "swap", "reset", "reserve",
-})
-
-WRITE_OPS = frozenset({
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-    "<<=", ">>=", "++", "--",
-})
 
 
 # ---------------------------------------------------------------------
@@ -833,368 +811,6 @@ def audit_env_registry(root, supp, cache=None):
 
 
 # ---------------------------------------------------------------------
-# thread-escape
-# ---------------------------------------------------------------------
-
-POOL_ID_RE = re.compile(r"[A-Za-z_]*pool_?$")
-
-
-def parse_class_defs(tokens, rel, classes):
-    """Collect class definitions: methods (constness, inline body
-    spans) and member-object fields (name -> last type identifier)."""
-    i = 0
-    n = len(tokens)
-    while i < n - 2:
-        t = tokens[i]
-        if (t.kind == "id" and t.text in ("class", "struct")
-                and tokens[i + 1].kind == "id"
-                and not (i > 0 and tokens[i - 1].kind == "id"
-                         and tokens[i - 1].text == "enum")):
-            name = tokens[i + 1].text
-            j = i + 2
-            while j < n and not (tokens[j].kind == "punct"
-                                 and tokens[j].text in ("{", ";")):
-                j += 1
-            if j >= n or tokens[j].text == ";":
-                i += 1
-                continue
-            end = cpplex.match_forward(tokens, j, "{", "}")
-            entry = classes.setdefault(
-                name, {"methods": {}, "fields": {}})
-            _scan_class_body(tokens, j + 1, end, rel, entry)
-            i = end + 1
-        else:
-            i += 1
-
-
-def _scan_class_body(tokens, start, end, rel, entry):
-    i = start
-    stmt_start = start
-    depth = 0
-    while i < end:
-        t = tokens[i]
-        if t.kind == "punct" and t.text == "(" and depth == 0:
-            # Possible method: identifier directly before the paren.
-            m = tokens[i - 1] if i > 0 else None
-            close = cpplex.match_forward(tokens, i, "(", ")")
-            j = close + 1
-            is_const = False
-            body = None
-            while j < end:
-                tj = tokens[j]
-                if tj.kind == "id" and tj.text == "const":
-                    is_const = True
-                elif tj.kind == "punct" and tj.text == "{":
-                    body_end = cpplex.match_forward(tokens, j,
-                                                    "{", "}")
-                    body = (rel, j, body_end)
-                    j = body_end
-                    break
-                elif tj.kind == "punct" and tj.text in (";", ":"):
-                    break  # declaration (or ctor initializer list)
-                j += 1
-            if m is not None and m.kind == "id" and m.text not in (
-                    "if", "for", "while", "switch", "return"):
-                info = entry["methods"].setdefault(
-                    m.text, {"const": is_const, "body": None})
-                info["const"] = info["const"] or is_const
-                if body is not None:
-                    info["body"] = body
-            i = j + 1
-            stmt_start = i
-            continue
-        if t.kind == "punct" and t.text == "{":
-            i = cpplex.match_forward(tokens, i, "{", "}") + 1
-            stmt_start = i
-            continue
-        if t.kind == "punct" and t.text == ";":
-            stmt = tokens[stmt_start:i]
-            name = _field_name(stmt)
-            if name:
-                type_id = None
-                for s in stmt:
-                    if s.kind == "id" and s.text != name:
-                        type_id = s.text
-                    if s.kind == "id" and s.text == name:
-                        break
-                entry["fields"][name] = type_id
-            i += 1
-            stmt_start = i
-            continue
-        i += 1
-
-
-def method_definitions(tokens, rel, classes):
-    """Out-of-class `Class::method(...) { ... }` definitions; also
-    returns (start, end, class) spans for enclosing-class lookup."""
-    spans = []
-    i = 0
-    n = len(tokens)
-    while i < n - 3:
-        if (tokens[i].kind == "id"
-                and tokens[i + 1].kind == "punct"
-                and tokens[i + 1].text == "::"
-                and tokens[i + 2].kind == "id"
-                and i + 3 < n
-                and tokens[i + 3].kind == "punct"
-                and tokens[i + 3].text == "("):
-            cls, method = tokens[i].text, tokens[i + 2].text
-            close = cpplex.match_forward(tokens, i + 3, "(", ")")
-            j = close + 1
-            is_const = False
-            paren = 0
-            while j < n:
-                tj = tokens[j]
-                if tj.kind == "punct" and tj.text == "(":
-                    paren += 1
-                elif tj.kind == "punct" and tj.text == ")":
-                    paren -= 1
-                elif paren == 0 and tj.kind == "id" \
-                        and tj.text == "const":
-                    is_const = True
-                elif paren == 0 and tj.kind == "punct" \
-                        and tj.text == "{":
-                    end = cpplex.match_forward(tokens, j, "{", "}")
-                    entry = classes.setdefault(
-                        cls, {"methods": {}, "fields": {}})
-                    info = entry["methods"].setdefault(
-                        method, {"const": is_const, "body": None})
-                    info["const"] = info["const"] or is_const
-                    info["body"] = (rel, j, end)
-                    spans.append((j, end, cls))
-                    j = end
-                    break
-                elif paren == 0 and tj.kind == "punct" \
-                        and tj.text == ";":
-                    break
-                elif paren < 0:
-                    break  # qualified call inside an expression
-                j += 1
-            i = close + 1
-        else:
-            i += 1
-    return spans
-
-
-def _capture_info(tokens, cap_start, cap_end):
-    ref_default = False
-    ref_captures = set()
-    group = []
-    for i in range(cap_start + 1, cap_end):
-        t = tokens[i]
-        if t.kind == "punct" and t.text == ",":
-            _apply_capture_group(group, ref_captures)
-            ref_default |= (len(group) == 1
-                            and group[0].text == "&")
-            group = []
-        else:
-            group.append(t)
-    _apply_capture_group(group, ref_captures)
-    ref_default |= (len(group) == 1 and group[0].text == "&")
-    return ref_default, ref_captures
-
-
-def _apply_capture_group(group, ref_captures):
-    if len(group) >= 2 and group[0].kind == "punct" \
-            and group[0].text == "&" and group[1].kind == "id":
-        ref_captures.add(group[1].text)
-
-
-class EscapeContext:
-    def __init__(self, cache, classes, supp, findings):
-        self.cache = cache
-        self.classes = classes
-        self.supp = supp
-        self.findings = findings
-
-
-def _analyze_span(ctx, rel, start, end, class_name, chain,
-                  ref_default, ref_captures, visited, depth,
-                  params=None):
-    tokens = ctx.cache.tokens(rel)
-    declared = set(params or ())
-    via = "" if not chain else \
-        " (reachable via " + " -> ".join(chain) + "())"
-    i = start
-    while i <= end:
-        t = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        prv = tokens[i - 1] if i > 0 else None
-        if t.kind == "punct" and t.text in ("++", "--") \
-                and nxt is not None and nxt.kind == "id" \
-                and nxt.text.endswith("_"):
-            after = tokens[i + 2] if i + 2 < len(tokens) else None
-            if not (after and after.kind == "punct"
-                    and after.text == "["):
-                add_finding(ctx.findings, ctx.supp, rel, t.line,
-                            "thread-escape",
-                            f"worker lambda writes shared member "
-                            f"'{nxt.text}' without a subscript"
-                            f"{via}")
-                i += 2
-                continue
-        if t.kind != "id":
-            i += 1
-            continue
-        prev_is_member_access = (
-            prv is not None and prv.kind == "punct"
-            and prv.text in (".", "->", "::"))
-        this_access = (prev_is_member_access and prv.text == "->"
-                       and i >= 2 and tokens[i - 2].kind == "id"
-                       and tokens[i - 2].text == "this")
-        # Local declarations: `Type name = ...` / `Type &name = ...`.
-        if nxt is not None and prv is not None \
-                and not prev_is_member_access \
-                and (prv.kind == "id"
-                     or (prv.kind == "punct"
-                         and prv.text in ("&", "*", ">", ">>",
-                                          ",", "["))) \
-                and nxt.kind == "punct" \
-                and nxt.text in ("=", ";", ",", ")", "{", ":", "]"):
-            declared.add(t.text)
-        if nxt is not None and nxt.kind == "punct" \
-                and nxt.text in WRITE_OPS:
-            if prev_is_member_access and not this_access:
-                i += 1
-                continue
-            if t.text.endswith("_"):
-                add_finding(ctx.findings, ctx.supp, rel, t.line,
-                            "thread-escape",
-                            f"worker lambda writes shared member "
-                            f"'{t.text}' without a subscript{via}")
-            elif not chain and (
-                    t.text in ref_captures
-                    or (ref_default and t.text not in declared)):
-                how = ("captured by reference"
-                       if t.text in ref_captures
-                       else "visible through the [&] default "
-                            "capture")
-                add_finding(ctx.findings, ctx.supp, rel, t.line,
-                            "thread-escape",
-                            f"worker lambda writes '{t.text}', a "
-                            f"local {how}; workers must write only "
-                            f"per-worker/per-tile slots")
-        elif nxt is not None and nxt.kind == "punct" \
-                and nxt.text == "(":
-            if prev_is_member_access and not this_access:
-                base = tokens[i - 2] if i >= 2 else None
-                if base is not None and base.kind == "id" \
-                        and base.text.endswith("_"):
-                    verdict = _member_call_verdict(
-                        ctx, class_name, base.text, t.text)
-                    if verdict:
-                        add_finding(
-                            ctx.findings, ctx.supp, rel, t.line,
-                            "thread-escape",
-                            f"{verdict} on shared member "
-                            f"'{base.text}' in a worker lambda"
-                            f"{via}")
-            elif not prev_is_member_access or this_access:
-                _maybe_recurse(ctx, rel, t, class_name, chain,
-                               visited, depth)
-        i += 1
-
-
-def _member_call_verdict(ctx, class_name, member, method):
-    """Non-empty description when calling member.method() mutates."""
-    type_id = ctx.classes.get(class_name, {}).get(
-        "fields", {}).get(member)
-    info = ctx.classes.get(type_id, {}).get(
-        "methods", {}).get(method) if type_id else None
-    if info is not None:
-        if info["const"]:
-            return ""
-        return f"non-const call .{method}()"
-    if method in MUTATING_METHODS:
-        return f"mutating container call .{method}()"
-    return ""
-
-
-def _maybe_recurse(ctx, rel, tok, class_name, chain, visited, depth):
-    if depth >= 6 or class_name is None:
-        return
-    info = ctx.classes.get(class_name, {}).get(
-        "methods", {}).get(tok.text)
-    if info is None or info["body"] is None:
-        return
-    key = (class_name, tok.text)
-    if key in visited:
-        return
-    # A suppression on the call line prunes this reachability edge.
-    if ctx.supp.check(rel, tok.line, "thread-escape"):
-        return
-    visited.add(key)
-    body_rel, body_start, body_end = info["body"]
-    _analyze_span(ctx, body_rel, body_start + 1, body_end - 1,
-                  class_name, chain + [tok.text], False, set(),
-                  visited, depth + 1)
-
-
-def audit_thread_escape(root, supp, cache=None):
-    root = Path(root)
-    cache = cache or TokenCache(root)
-    findings = []
-    files = src_files(root)
-
-    classes = {}
-    for rel in files:
-        parse_class_defs(cache.tokens(rel), rel, classes)
-    def_spans = {}
-    for rel in files:
-        if rel.endswith(".cpp"):
-            def_spans[rel] = method_definitions(cache.tokens(rel),
-                                                rel, classes)
-
-    ctx = EscapeContext(cache, classes, supp, findings)
-    for rel in files:
-        tokens = cache.tokens(rel)
-        spans = def_spans.get(rel, [])
-        for i in range(len(tokens) - 3):
-            if not (tokens[i].kind == "id"
-                    and POOL_ID_RE.fullmatch(tokens[i].text)
-                    and tokens[i + 1].kind == "punct"
-                    and tokens[i + 1].text in ("->", ".")
-                    and tokens[i + 2].kind == "id"
-                    and tokens[i + 2].text == "run"
-                    and tokens[i + 3].kind == "punct"
-                    and tokens[i + 3].text == "("):
-                continue
-            call_end = cpplex.match_forward(tokens, i + 3, "(", ")")
-            enclosing = None
-            for s, e, cls_name in spans:
-                if s <= i <= e:
-                    enclosing = cls_name
-                    break
-            # The lambda: first '[' inside the call's argument list.
-            lam = None
-            for j in range(i + 4, call_end):
-                if tokens[j].kind == "punct" and tokens[j].text == "[":
-                    lam = j
-                    break
-            if lam is None:
-                continue
-            cap_end = cpplex.match_forward(tokens, lam, "[", "]")
-            body_start = None
-            for j in range(cap_end + 1, call_end):
-                if tokens[j].kind == "punct" and tokens[j].text == "{":
-                    body_start = j
-                    break
-            if body_start is None:
-                continue
-            body_end = cpplex.match_forward(tokens, body_start,
-                                            "{", "}")
-            ref_default, ref_captures = _capture_info(tokens, lam,
-                                                      cap_end)
-            lambda_params = {tokens[j].text
-                             for j in range(cap_end + 1, body_start)
-                             if tokens[j].kind == "id"}
-            _analyze_span(ctx, rel, body_start + 1, body_end - 1,
-                          enclosing, [], ref_default, ref_captures,
-                          set(), 0, params=lambda_params)
-    return findings
-
-
-# ---------------------------------------------------------------------
 # stale-suppression
 # ---------------------------------------------------------------------
 
@@ -1258,7 +874,6 @@ def run_audit(root, build_dir=None, dot_path=None,
     findings += dag_findings
     findings += audit_flag_plumbing(root, supp, cache)
     findings += audit_env_registry(root, supp, cache)
-    findings += audit_thread_escape(root, supp, cache)
     lint_used = collect_lint_usage(root)
     findings += audit_stale_suppressions(root, supp, lint_used)
     return findings
@@ -1279,10 +894,8 @@ def self_test():
             return audit_flag_plumbing(fixture_root, supp, cache)
         if cls == "env-registry":
             return audit_env_registry(fixture_root, supp, cache)
-        if cls == "thread-escape":
-            return audit_thread_escape(fixture_root, supp, cache)
         if cls == "stale-suppression":
-            audit_thread_escape(fixture_root, supp, cache)
+            audit_env_registry(fixture_root, supp, cache)
             lint_used = collect_lint_usage(fixture_root)
             return audit_stale_suppressions(fixture_root, supp,
                                             lint_used)

@@ -2,8 +2,8 @@
 """cpplex: a lightweight C++ lexer for capstan-audit.
 
 capstan-lint (tools/lint/) deliberately stays line/regex-level; the
-audit's whole-program analyses (include-layer DAG, cross-function
-thread-escape) need something sturdier: a token stream with line
+audit's whole-program analyses (include-layer DAG, option plumbing,
+env registry) need something sturdier: a token stream with line
 numbers, comments and whitespace gone, string/char literals opaque,
 and multi-character operators as single tokens. This is that — and
 nothing more. It does not preprocess, expand macros, or build an AST;

@@ -4,5 +4,5 @@
 // capstan-lint: allow(nondet-source) -- claims a rand() call that was removed
 int answer() { return 42; }
 
-// capstan-audit: allow(thread-escape) -- claims a worker dispatch that was removed
+// capstan-audit: allow(env-registry) -- claims a raw getenv that was removed
 int other() { return 7; }
